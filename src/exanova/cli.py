@@ -390,14 +390,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         if args.matrices and target not in ("prop2", "dominance"):
             raise InputError("--matrices only applies to the dominance (prop2) target")
+        if args.trials is not None and args.trials < 1:
+            raise InputError(f"--trials must be at least 1, got {args.trials}")
         if target in ("table1", "all"):
             checks.extend(verify_mod.verify_table1())
         if target in ("prop1", "all"):
-            checks.extend(verify_mod.verify_prop1(seed=seed, trials=args.trials or 500))
+            trials = 500 if args.trials is None else args.trials
+            checks.extend(verify_mod.verify_prop1(seed=seed, trials=trials))
         if target in ("prop2", "dominance") and args.matrices:
             checks.extend(_adhoc_dominance(args.matrices))
         elif target in ("prop2", "dominance", "all"):
-            checks.extend(verify_mod.verify_prop2(seed=seed, trials=args.trials or 200))
+            trials = 200 if args.trials is None else args.trials
+            checks.extend(verify_mod.verify_prop2(seed=seed, trials=trials))
         if target in ("prop3", "all"):
             dims_list = _prop3_dims(args)
             checks.extend(verify_mod.verify_prop3(dims_list=dims_list))

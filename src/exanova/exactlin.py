@@ -27,6 +27,7 @@ __all__ = [
     "colspace",
     "nullspace",
     "projector",
+    "weighted_fit",
     "complement",
     "intersect",
     "subspace_sum",
@@ -107,6 +108,11 @@ class RatMatrix:
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "RatMatrix":
         return cls([(0,) * ncols for _ in range(nrows)], 1, _normalized=True)
+
+    @classmethod
+    def diagonal(cls, values: Sequence[int]) -> "RatMatrix":
+        n = len(values)
+        return cls([[values[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
     def ones(cls, nrows: int, ncols: int = 1) -> "RatMatrix":
@@ -517,30 +523,36 @@ def subspace_sum(s1: Subspace, s2: Subspace) -> Subspace:
     return s1.sum(s2)
 
 
-def projector(m: RatMatrix) -> Projector:
-    """Orthogonal projector onto the column space of m.
+def _gram_sum(m: RatMatrix, weights: Sequence[int] | None = None) -> tuple[RatMatrix, int]:
+    """sum of u u'/(u'Wu) over a W-orthogonal integer basis of sp(m), and
+    the number of basis vectors, where W = diag(weights) (the identity
+    when weights is None).
 
-    Gram-Schmidt without normalization: P = sum of u u'/(u'u) over an
-    orthogonal integer basis, so everything stays rational.
+    Gram-Schmidt without normalization, so everything stays rational.
+    A column whose remainder has u'Wu = 0 is dropped; with nonnegative
+    weights the sum is then M (M'WM)^- M' and the count is
+    rank(W^(1/2) M).
     """
     n = m.nrows
     ortho: list[list[int]] = []
+    wortho: list[list[int]] = []
     norms: list[int] = []
     if m.ncols:
         for col in zip(*m._num):
             w = list(col)
-            for u, uu in zip(ortho, norms):
-                uw = sum(a * b for a, b in zip(u, w))
+            for u, wu, uu in zip(ortho, wortho, norms):
+                uw = sum(a * b for a, b in zip(wu, w))
                 if uw:
                     w = [uu * a - uw * b for a, b in zip(w, u)]
                     g = _content(w)
                     if g > 1:
                         w = [v // g for v in w]
-            if any(w):
+            ww = w if weights is None else [d * v for d, v in zip(weights, w)]
+            norm = sum(a * b for a, b in zip(ww, w))
+            if norm:
                 ortho.append(w)
-                norms.append(sum(v * v for v in w))
-    if not ortho:
-        return Projector.zero(n)
+                wortho.append(ww)
+                norms.append(norm)
     den = 1
     for uu in norms:
         den = _lcm(den, uu)
@@ -554,7 +566,27 @@ def projector(m: RatMatrix) -> Projector:
                 for j, uj in enumerate(u):
                     if uj:
                         row[j] += cui * uj
-    return Projector(RatMatrix(num, den), check=False)
+    return RatMatrix(num, den), len(ortho)
+
+
+def projector(m: RatMatrix) -> Projector:
+    """Orthogonal projector onto the column space of m:
+    P = sum of u u'/(u'u) over an orthogonal integer basis."""
+    return Projector(_gram_sum(m)[0], check=False)
+
+
+def weighted_fit(m: RatMatrix, weights: Sequence[int]) -> tuple[RatMatrix, int]:
+    """A = M (M'WM)^- M' for W = diag(weights) with nonnegative integer
+    weights, together with rank(W^(1/2) M).
+
+    With W = K'K for an incidence matrix K, K A K' is the orthogonal
+    projector onto sp(K M), so for cell totals t = K'y the fitted sum
+    of squares is t'At.  W A W does not depend on the g-inverse chosen,
+    which is what makes A usable even when some weights are zero.
+    """
+    if len(weights) != m.nrows or any(d < 0 for d in weights):
+        raise ValueError("need one nonnegative weight per row")
+    return _gram_sum(m, weights)
 
 
 def is_nnd(m: RatMatrix) -> bool:

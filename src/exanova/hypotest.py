@@ -33,6 +33,7 @@ from .exactlin import (
     intersect,
     projector,
     solve_linear,
+    weighted_fit,
 )
 
 __all__ = [
@@ -237,6 +238,15 @@ def type_numerator(
     return full.minus(reduced)
 
 
+def _cell_fit(effects: frozenset[EffectId], layout: CellLayout,
+              scheme: ContrastScheme | None) -> tuple[RatMatrix, int]:
+    """Cell-space fit of the model with these effects: A = M(M'DM)^-M'
+    for its cell-mean matrix M and the cell counts D, plus rank(K M)."""
+    if not effects:
+        return RatMatrix.zeros(layout.ncells, layout.ncells), 0
+    return weighted_fit(effect_model_matrix(effects, layout.dims, scheme), layout.counts)
+
+
 def type_ss(
     t: int,
     effect: EffectId,
@@ -245,40 +255,51 @@ def type_ss(
     scheme: ContrastScheme | None = None,
     *,
     report_set: frozenset[EffectId] | None = None,
-    denominator: Projector | None = None,
 ) -> TestResult:
     """Type-t sum of squares for one effect of a two-factor layout.
 
-    The denominator defaults to the saturated-model residual, with
-    n - rank(K) degrees of freedom.  `report_set` picks the model in
-    which the testing target is reported (default: the SS's own model).
-    `denominator` overrides the residual projector.
+    Computed in cell space from the cell totals t = K'y, the counts
+    D = K'K and the raw sum of squares: with A = M(M'DM)^-M' for the
+    full and the reduced model, the numerator is t'(A_f - A_r)t, and
+    the denominator is the saturated-model residual
+    sum(y^2) - sum(t_c^2/n_c) on n - (number of nonempty cells) degrees
+    of freedom.  The testing target is sp(P_m D(A_f - A_r)D), equal to
+    testing_target(m, K, type_numerator(...)) because sp(B K') = sp(B K'K).
+    `report_set` picks the model m in which the target is reported
+    (default: the SS's own model).
     """
-    if effect not in type_model_set(t, effect):
+    model_set = type_model_set(t, effect)
+    if effect not in model_set:
         raise ValueError(f"effect {effect} is not in the type-{t} model")
     yv = [Fraction(v) for v in y]
     if len(yv) != layout.n:
         raise ValueError(f"need {layout.n} responses, got {len(yv)}")
-    k = incidence(layout)
-    p_num = type_numerator(t, effect, layout, scheme)
-    ss_num = quad_form(yv, p_num.matrix)
-    nu_num = p_num.nu
-    if denominator is None:
-        q = projector(k).complement()
-    else:
-        q = denominator
-        if not (p_num.matrix @ q.matrix).is_zero:
-            raise ValueError("denominator projector must be orthogonal to the numerator")
-    ss_den = quad_form(yv, q.matrix)
-    nu_den = q.nu
+    counts = layout.counts
+    totals: list[Fraction] = []
+    start = 0
+    for nc in counts:
+        totals.append(sum(yv[start : start + nc], Fraction(0)))
+        start += nc
+    a_full, rank_full = _cell_fit(model_set, layout, scheme)
+    a_rest, rank_rest = _cell_fit(model_set - {effect}, layout, scheme)
+    d = RatMatrix.diagonal(counts)
+    # P_f P_r = P_r in observation space, written as D A_f D A_r D = D A_r D
+    dad_rest = d @ a_rest @ d
+    if d @ a_full @ dad_rest != dad_rest:
+        raise ValueError("projector difference requires nested ranges")
+    a_num = a_full - a_rest
+    ss_num = quad_form(totals, a_num)
+    nu_num = rank_full - rank_rest
+    ss_den = sum(v * v for v in yv) - sum(tc * tc / nc for tc, nc in zip(totals, counts) if nc)
+    nu_den = layout.n - sum(1 for nc in counts if nc)
     f_value: Fraction | None = None
     p: float | None = None
     if nu_num > 0 and nu_den > 0 and ss_den > 0:
         f_value = (ss_num / nu_num) / (ss_den / nu_den)
         p = fdist.p_value_from(float(f_value), nu_num, nu_den)
-    target_set = report_set if report_set is not None else type_model_set(t, effect)
+    target_set = report_set if report_set is not None else model_set
     m = effect_model_matrix(target_set, layout.dims, scheme)
-    target = testing_target(m, k, p_num)
+    target = colspace(projector(m).matrix @ d @ a_num @ d)
     return TestResult(
         ss_num=ss_num,
         nu_num=nu_num,

@@ -231,6 +231,14 @@ class TestVerifyCommand:
         _, second = run_cli(argv)
         assert first == second
 
+    @pytest.mark.parametrize("target", ["prop1", "dominance"])
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_nonpositive_trials_rejected(self, target, trials, capsys):
+        code, out = run_cli(["verify", target, "--trials", trials])
+        assert code == 2
+        assert out == ""
+        assert f"error: --trials must be at least 1, got {trials}" in capsys.readouterr().err
+
     def test_dims_factor_mismatch(self):
         code, _ = run_cli(["verify", "prop3", "--factors", "2", "--dims", "2,3,2"])
         assert code == 2

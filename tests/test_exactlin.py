@@ -19,6 +19,7 @@ from exanova.exactlin import (
     rank,
     solve_linear,
     subspace_sum,
+    weighted_fit,
 )
 
 F = Fraction
@@ -180,6 +181,37 @@ class TestProjector:
         assert d.nu == 2
         with pytest.raises(ValueError):
             q.minus(d)
+
+
+class TestWeightedFit:
+    def test_unit_weights_give_projector(self):
+        m = RatMatrix.from_rows([[1, 2], [1, 0], [1, -1], [1, 4]])
+        a, r = weighted_fit(m, [1, 1, 1, 1])
+        assert a == projector(m).matrix
+        assert r == 2
+
+    def test_matches_observation_space_projector(self):
+        # K A K' is the projector onto sp(K M) for the incidence K of
+        # the weights, zero weights (empty cells) included
+        rng = random.Random(19)
+        for _ in range(30):
+            c, p = rng.randint(2, 6), rng.randint(1, 4)
+            m = RatMatrix.from_rows([[rng.randint(-2, 2) for _ in range(p)] for _ in range(c)])
+            weights = [rng.choice((0, 1, 2, 3)) for _ in range(c)]
+            if not any(weights):
+                continue
+            k = RatMatrix(
+                [[int(i == j) for j in range(c)] for i in range(c) for _ in range(weights[i])]
+            )
+            a, r = weighted_fit(m, weights)
+            assert k @ a @ k.T == projector(k @ m).matrix
+            assert r == rank(k @ m)
+
+    def test_negative_weight_rejected(self):
+        with pytest.raises(ValueError):
+            weighted_fit(RatMatrix.identity(2), [1, -1])
+        with pytest.raises(ValueError):
+            weighted_fit(RatMatrix.identity(2), [1])
 
 
 class TestSubspaceCalculus:

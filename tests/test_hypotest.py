@@ -7,6 +7,7 @@ import pytest
 
 from exanova.effects import (
     CellLayout,
+    ContrastScheme,
     EffectId,
     all_effects,
     c_block,
@@ -34,6 +35,7 @@ from exanova.hypotest import (
     estimable_part,
     f_statistic,
     ncp,
+    quad_form,
     restriction_nullbasis,
     rmfm_projector,
     rmfm_ss,
@@ -272,6 +274,67 @@ class TestTypeSs:
         layout = CellLayout.from_grid([[2, 2], [2, 2]])
         with pytest.raises(ValueError):
             type_ss(3, A_EFFECT, layout, [1, 2, 3])
+
+
+def random_contrast(rng, m):
+    """A random valid m x (m-1) contrast matrix: random columns, centred."""
+    while True:
+        raw = [[rng.randint(-3, 3) for _ in range(m - 1)] for _ in range(m)]
+        c = RatMatrix.from_rows(
+            [[F(v) - F(sum(r[j] for r in raw), m) for j, v in enumerate(row)] for row in raw]
+        )
+        if c.rank() == m - 1:
+            return c
+
+
+def random_layout(rng):
+    """A 2x2 to 4x4 layout with counts 0-3, often with empty cells,
+    every level observed."""
+    while True:
+        dims = (rng.randint(2, 4), rng.randint(2, 4))
+        counts = tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(dims[0] * dims[1]))
+        try:
+            return CellLayout(dims, counts)
+        except ValueError:
+            continue
+
+
+class TestTypeSsCellSpace:
+    """type_ss works in cell space; the observation-space projectors are
+    its oracle, and must agree exactly."""
+
+    def test_matches_observation_space_oracle(self):
+        rng = random.Random(2024)
+        effects = all_effects(2)
+        with_empty = 0
+        for _ in range(14):
+            layout = random_layout(rng)
+            with_empty += 0 in layout.counts
+            scheme = None
+            if rng.random() < 0.5:
+                scheme = ContrastScheme.user([random_contrast(rng, m) for m in layout.dims])
+            y = [F(rng.randint(-9, 9), rng.choice((1, 2, 4))) for _ in range(layout.n)]
+            k = incidence(layout)
+            q = projector(k).complement()
+            ss_den = quad_form(y, q.matrix)
+            for effect in effects[1:]:
+                for t in (1, 2, 3):
+                    if effect not in type_model_set(t, effect):
+                        continue
+                    report_set = frozenset(e for e in effects if rng.random() < 0.6)
+                    report_set = report_set or frozenset(effects[:1])
+                    res = type_ss(t, effect, layout, y, scheme, report_set=report_set)
+                    p_num = type_numerator(t, effect, layout, scheme)
+                    ss_num = quad_form(y, p_num.matrix)
+                    f_value = None
+                    if p_num.nu > 0 and q.nu > 0 and ss_den > 0:
+                        f_value = (ss_num / p_num.nu) / (ss_den / q.nu)
+                    assert (res.ss_num, res.nu_num, res.ss_den, res.nu_den, res.f_value) == (
+                        ss_num, p_num.nu, ss_den, q.nu, f_value
+                    )
+                    m = effect_model_matrix(report_set, layout.dims, scheme)
+                    assert res.estimable_part == target_of(m, k, p_num)
+        assert with_empty >= 5  # the draw must exercise empty cells
 
 
 class TestNcp:
