@@ -396,7 +396,8 @@ def verify_prop3(
 
 def verify_fdist() -> list[Check]:
     """Deterministic battery for the F distribution code: exact symmetry
-    and reduction facts, quantile round trips, and the power-monotonicity
+    and reduction facts, the Markov bound on the cdf at twice the mean up
+    to noncentrality 4000, quantile round trips, and the power-monotonicity
     grid (increasing in noncentrality and denominator df, decreasing in
     numerator df)."""
     checks: list[Check] = []
@@ -410,6 +411,17 @@ def verify_fdist() -> list[Check]:
         for n1, n2 in ((1, 1), (2, 10), (6, 3))
     )
     checks.append(Check("fdist zero noncentrality reduces exactly to the central cdf", red_ok))
+
+    # Markov's inequality gives P(F >= 2 E[F]) <= 1/2 for every F
+    # distribution, so this needs no oracle; the grid reaches ncp at which
+    # the Poisson weight exp(-ncp/2) of k = 0 underflows
+    markov_ok = all(
+        fdist.f_cdf(2.0 * (n2 / (n2 - 2.0)) * (n1 + d) / n1, n1, n2, d) >= 0.5
+        for n1 in (1, 2, 4)
+        for n2 in (20, 1000)
+        for d in (0.0, 2.0, 200.0, 1000.0, 1460.0, 1600.0, 4000.0)
+    )
+    checks.append(Check("fdist cdf at twice the mean is at least 1/2 (Markov)", markov_ok))
 
     rt_ok = True
     for alpha in (0.01, 0.05, 0.5, 0.95):

@@ -223,7 +223,7 @@ class TestVerifyCommand:
     def test_fdist_battery(self):
         code, out = run_cli(["verify", "fdist"])
         assert code == 0
-        assert "7/7 checks passed" in out
+        assert "8/8 checks passed" in out
 
     def test_deterministic_output(self):
         argv = ["verify", "prop1", "--seed", "11", "--trials", "25"]

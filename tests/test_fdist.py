@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from exanova import fdist
 from exanova.fdist import FParams, f_cdf, f_quantile, p_value_from, power
 
 
@@ -92,8 +93,61 @@ class TestPower:
 
 class TestPValue:
     def test_matches_cdf_complement(self):
-        assert p_value_from(2.5, 3, 9) == 1.0 - f_cdf(2.5, 3, 9)
+        for x in (0.1, 0.5, 1.0, 2.5, 10.0, 100.0):
+            for nu1, nu2 in ((1, 1), (3, 9), (2, 10), (5, 20), (10, 3), (1, 100), (4, 30)):
+                assert abs(p_value_from(x, nu1, nu2) + f_cdf(x, nu1, nu2) - 1.0) <= 1e-15
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             p_value_from(-0.5, 3, 9)
+
+
+class TestBetacf:
+    def test_nonconvergence_raises(self, monkeypatch):
+        monkeypatch.setattr(fdist, "_BETACF_MAX_ITER", 2)
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            f_cdf(2.5, 30, 40)
+
+
+class TestOracleGrid:
+    """f_cdf and p_value_from against scipy and mpmath (test-only oracles)."""
+
+    def test_noncentral_cdf_against_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        # 1431-1490 is where a sum up from k = 0 stalls short of its
+        # Poisson mass; above 1490 its first weight exp(-ncp/2) underflows
+        for ncp in (1440.0, 1462.25, 1489.0, 1600.0, 4000.0, 10000.0):
+            for nu1 in (1, 2, 5, 10):
+                for nu2 in (10, 100, 1000):
+                    for at in (0.25, 0.5, 0.8, 1.0, 1.25, 1.5, 2.0):
+                        x = at * nu2 / (nu2 - 2.0) * (nu1 + ncp) / nu1  # at times the mean
+                        want = float(stats.ncf.cdf(x, nu1, nu2, ncp))
+                        got = f_cdf(x, nu1, nu2, ncp)
+                        assert abs(got - want) <= 1e-9, (x, nu1, nu2, ncp, got, want)
+
+    def test_large_ncp_regression(self):
+        stats = pytest.importorskip("scipy.stats")
+        got = f_cdf(4005.0, 2, 10, ncp=1600.0)
+        assert abs(got - 0.99628) <= 1e-5
+        assert abs(got - float(stats.ncf.cdf(4005.0, 2, 10, 1600.0))) <= 1e-9
+
+    def test_p_value_relative_down_to_1e300(self):
+        mpmath = pytest.importorskip("mpmath")
+        for nu1, nu2 in ((1, 4), (1, 100), (2, 8), (2, 1000), (3, 9), (4, 30), (10, 10000)):
+            for p in (0.5, 1e-5, 1e-12, 1e-20, 1e-50, 1e-100, 1e-200, 1e-300):
+                # find the point by bisection on p_value_from, then check
+                # that the 40-digit incomplete beta puts its tail at p too
+                lo, hi = -3.0, 308.0
+                for _ in range(60):
+                    mid = 0.5 * (lo + hi)
+                    if p_value_from(10.0**mid, nu1, nu2) > p:
+                        lo = mid
+                    else:
+                        hi = mid
+                x = 10.0**lo
+                with mpmath.workdps(40):
+                    w = mpmath.mpf(nu2) / (mpmath.mpf(nu2) + mpmath.mpf(nu1) * mpmath.mpf(x))
+                    want = float(mpmath.betainc(mpmath.mpf(nu2) / 2, mpmath.mpf(nu1) / 2, 0, w, regularized=True))
+                got = p_value_from(x, nu1, nu2)
+                assert math.isclose(got, want, rel_tol=1e-8, abs_tol=0.0), (x, nu1, nu2, got, want)
+                assert math.isclose(want, p, rel_tol=1e-6), (x, nu1, nu2, want, p)
