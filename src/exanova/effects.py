@@ -126,7 +126,7 @@ def helmert_contrast(m: int) -> RatMatrix:
         num[j - 1][j - 1] = m - j
         for i in range(j, m):
             num[i][j - 1] = -1
-    return RatMatrix(num, 1, _normalized=True)
+    return RatMatrix(num)
 
 
 class ContrastScheme:
@@ -290,7 +290,7 @@ def incidence(layout: CellLayout) -> RatMatrix:
         row = [0] * layout.ncells
         row[idx] = 1
         rows.extend([tuple(row)] * count)
-    return RatMatrix(rows, 1, _normalized=True)
+    return RatMatrix(rows)
 
 
 def model_matrix(

@@ -8,6 +8,14 @@ Matrices are stored as integer entries over a single positive denominator.
 This keeps the hot paths (echelon reduction, Gram-Schmidt, products) in
 native integer arithmetic, which is 30-60x faster than Fraction-per-entry
 storage while remaining exact.
+
+The public constructor checks every entry; results built inside this
+module from rows that are already integer go through the trusted
+`RatMatrix._of`, which skips those checks.  A kernel costs one echelon
+reduction, of the matrix with its columns reversed, whose free-variable
+basis is already canonical.  Each Subspace computes its orthogonal
+complement at most once, so `intersect`, which is the complement of the
+sum of the complements, reuses the complements of operands it has seen.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Iterable, Sequence
 
 Rat = Fraction
@@ -37,7 +46,6 @@ __all__ = [
     "solve_linear",
     "primitive_columns",
     "column_vector",
-    "as_rat_vector",
 ]
 
 
@@ -65,28 +73,50 @@ class RatMatrix:
     must have at least one row.
     """
 
-    def __init__(self, num_rows: Sequence[Sequence[int]], den: int = 1, *, _normalized: bool = False):
-        rows = [tuple(int(v) for v in r) for r in num_rows]
+    def __init__(self, num_rows: Sequence[Sequence[int]], den: int = 1):
+        rows = []
+        for r in num_rows:
+            r = tuple(r)
+            ints = tuple(map(int, r))
+            if ints != r:
+                bad = next(v for v, i in zip(r, ints) if v != i)
+                raise ValueError(f"entries must be integers, got {bad!r}; use RatMatrix.from_rows for rationals")
+            rows.append(ints)
         if not rows:
             raise ValueError("matrix needs at least one row")
         ncols = len(rows[0])
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
-        den = int(den)
-        if den == 0:
+        d = int(den)
+        if d != den:
+            raise ValueError(f"denominator must be an integer, got {den!r}; use RatMatrix.from_rows for rationals")
+        if d == 0:
             raise ValueError("zero denominator")
-        if not _normalized:
-            if den < 0:
-                den = -den
-                rows = [tuple(-v for v in r) for r in rows]
+        if d < 0:
+            d = -d
+            rows = [tuple(-v for v in r) for r in rows]
+        self._set(rows, d, False)
+
+    @classmethod
+    def _of(cls, rows: Sequence[Sequence[int]], den: int = 1, *, normalized: bool = False) -> "RatMatrix":
+        """Trusted internal constructor: `rows` are at least one equal-length
+        sequence of int and `den` is a positive int, so the per-entry
+        coercion and the shape checks of `__init__` are skipped.  Reduces by
+        the common gcd unless `normalized` says it is already 1."""
+        self = object.__new__(cls)
+        self._set(rows, den, normalized)
+        return self
+
+    def _set(self, rows: Sequence[Sequence[int]], den: int, normalized: bool) -> None:
+        if not normalized and den != 1:
             g = _content((v for r in rows for v in r), start=den)
             if g > 1:
                 den //= g
                 rows = [tuple(v // g for v in r) for r in rows]
-        self._num: tuple[tuple[int, ...], ...] = tuple(rows)
+        self._num: tuple[tuple[int, ...], ...] = tuple(map(tuple, rows))
         self._den: int = den
-        self.nrows: int = len(rows)
-        self.ncols: int = ncols
+        self.nrows: int = len(self._num)
+        self.ncols: int = len(self._num[0])
 
     # -- constructors ---------------------------------------------------
 
@@ -103,11 +133,11 @@ class RatMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], 1, _normalized=True)
+        return cls._of([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "RatMatrix":
-        return cls([(0,) * ncols for _ in range(nrows)], 1, _normalized=True)
+        return cls._of([(0,) * ncols] * nrows)
 
     @classmethod
     def diagonal(cls, values: Sequence[int]) -> "RatMatrix":
@@ -116,7 +146,7 @@ class RatMatrix:
 
     @classmethod
     def ones(cls, nrows: int, ncols: int = 1) -> "RatMatrix":
-        return cls([(1,) * ncols for _ in range(nrows)], 1, _normalized=True)
+        return cls._of([(1,) * ncols] * nrows)
 
     # -- basic accessors ------------------------------------------------
 
@@ -128,7 +158,7 @@ class RatMatrix:
         return Fraction(self._num[i][j], self._den)
 
     def column(self, j: int) -> "RatMatrix":
-        return RatMatrix([(r[j],) for r in self._num], self._den)
+        return RatMatrix._of([(r[j],) for r in self._num], self._den)
 
     def to_rows(self) -> list[list[Fraction]]:
         d = self._den
@@ -173,21 +203,21 @@ class RatMatrix:
         d = _lcm(self._den, other._den)
         fa, fb = d // self._den, d // other._den
         num = [
-            [fa * a + fb * b for a, b in zip(ra, rb)]
+            tuple(fa * a + fb * b for a, b in zip(ra, rb))
             for ra, rb in zip(self._num, other._num)
         ]
-        return RatMatrix(num, d)
+        return RatMatrix._of(num, d)
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
         return self + (-other)
 
     def __neg__(self) -> "RatMatrix":
-        return RatMatrix([tuple(-v for v in r) for r in self._num], self._den, _normalized=True)
+        return RatMatrix._of([tuple(-v for v in r) for r in self._num], self._den, normalized=True)
 
     def scale(self, c: Fraction | int) -> "RatMatrix":
         c = Fraction(c)
-        num = [[c.numerator * v for v in r] for r in self._num]
-        return RatMatrix(num, self._den * c.denominator)
+        num = [tuple(c.numerator * v for v in r) for r in self._num]
+        return RatMatrix._of(num, self._den * c.denominator)
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.ncols != other.nrows:
@@ -195,13 +225,13 @@ class RatMatrix:
         if self.ncols == 0:
             return RatMatrix.zeros(self.nrows, other.ncols)
         cols = list(zip(*other._num))
-        num = [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self._num]
-        return RatMatrix(num, self._den * other._den)
+        num = [tuple([sum(map(mul, row, col)) for col in cols]) for row in self._num]
+        return RatMatrix._of(num, self._den * other._den)
 
     def transpose(self) -> "RatMatrix":
         if self.ncols == 0:
             raise ValueError("cannot transpose a zero-column matrix (zero-row matrices are not supported)")
-        return RatMatrix(list(zip(*self._num)), self._den, _normalized=True)
+        return RatMatrix._of(list(zip(*self._num)), self._den, normalized=True)
 
     @property
     def T(self) -> "RatMatrix":
@@ -209,11 +239,11 @@ class RatMatrix:
 
     def kron(self, other: "RatMatrix") -> "RatMatrix":
         num = [
-            [a * b for a in ra for b in rb]
+            tuple([a * b for a in ra for b in rb])
             for ra in self._num
             for rb in other._num
         ]
-        return RatMatrix(num, self._den * other._den)
+        return RatMatrix._of(num, self._den * other._den)
 
     @staticmethod
     def hstack(*mats: "RatMatrix") -> "RatMatrix":
@@ -225,11 +255,12 @@ class RatMatrix:
         den = 1
         for m in mats:
             den = _lcm(den, m._den)
+        scaled = [(m._num, den // m._den) for m in mats]
         num = [
-            [v * (den // m._den) for m in mats for v in m._num[i]]
+            tuple([v * f for rows, f in scaled for v in rows[i]])
             for i in range(n)
         ]
-        return RatMatrix(num, den)
+        return RatMatrix._of(num, den)
 
     def trace(self) -> Fraction:
         if not self.is_square:
@@ -258,28 +289,36 @@ class RatMatrix:
         if self.ncols == 0 or self.is_zero:
             return Subspace.zero(self.nrows)
         rows, den, _ = self.transpose()._rref
-        basis = RatMatrix(list(zip(*rows)), den)
-        return Subspace(self.nrows, basis)
+        return Subspace(self.nrows, RatMatrix._of(list(zip(*rows)), den))
 
     @cached_property
     def nullspace(self) -> "Subspace":
-        """Kernel {x : M x = 0}, a subspace of R^ncols."""
-        if self.ncols == 0:
+        """Kernel {x : M x = 0}, a subspace of R^ncols, with canonical basis.
+
+        One reduction, of M with its columns reversed.  Its free-variable
+        basis, read back in the original column order, has each vector
+        lead with 1 at its own free column, be zero at every other free
+        column and be nonzero only at pivot columns after its lead: that
+        is already the reduced column echelon form of the kernel.
+        """
+        n = self.ncols
+        if n == 0:
             raise ValueError("nullspace of a zero-column matrix is not representable")
-        rows, den, pivs = self._rref
+        rows, den, pivs = _rref_int([r[::-1] for r in self._num])
         piv_set = set(pivs)
-        free = [c for c in range(self.ncols) if c not in piv_set]
+        # free columns of the reversed matrix, in increasing original order
+        free = [c for c in range(n - 1, -1, -1) if c not in piv_set]
         if not free:
-            return Subspace.zero(self.ncols)
-        span_cols = []
-        for f in free:
-            vec = [0] * self.ncols
-            vec[f] = den
-            for j, pc in enumerate(pivs):
-                vec[pc] = -rows[j][f]
-            span_cols.append(vec)
-        span = RatMatrix(list(zip(*span_cols)), den)
-        return span.colspace
+            return Subspace.zero(n)
+        basis: list[tuple[int, ...]] = [()] * n
+        for row, pc in zip(rows, pivs):
+            basis[n - 1 - pc] = tuple([-row[c] for c in free])
+        zero = [0] * len(free)
+        for t, c in enumerate(free):
+            unit = zero.copy()
+            unit[t] = den
+            basis[n - 1 - c] = tuple(unit)
+        return Subspace(n, RatMatrix._of(basis, den))
 
 
 def _rref_int(m: list[list[int]]) -> tuple[tuple[tuple[int, ...], ...], int, tuple[int, ...]]:
@@ -361,13 +400,14 @@ class Subspace:
     subspaces have structurally identical bases and `==` is exact.
     """
 
-    __slots__ = ("ambient", "basis")
+    __slots__ = ("ambient", "basis", "_comp")
 
     def __init__(self, ambient: int, basis: RatMatrix):
         if basis.nrows != ambient:
             raise ValueError("basis rows must match ambient dimension")
         self.ambient = ambient
         self.basis = basis
+        self._comp: Subspace | None = None
 
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":
@@ -376,10 +416,6 @@ class Subspace:
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
         return cls(ambient, RatMatrix.identity(ambient))
-
-    @classmethod
-    def span_of(cls, m: RatMatrix) -> "Subspace":
-        return m.colspace
 
     @property
     def dim(self) -> int:
@@ -397,10 +433,17 @@ class Subspace:
         return f"Subspace(dim {self.dim} of R^{self.ambient})"
 
     def complement(self) -> "Subspace":
-        """Orthogonal complement within the ambient space."""
-        if self.dim == 0:
-            return Subspace.full(self.ambient)
-        return self.basis.transpose().nullspace
+        """Orthogonal complement within the ambient space.
+
+        Computed once per object: a Subspace is immutable.  The complement
+        keeps no link back, so memoizing makes no reference cycle.
+        """
+        if self._comp is None:
+            if self.dim == 0:
+                self._comp = Subspace.full(self.ambient)
+            else:
+                self._comp = self.basis.transpose().nullspace
+        return self._comp
 
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
@@ -412,20 +455,6 @@ class Subspace:
         if self.ambient != other.ambient:
             raise ValueError("ambient dimension mismatch")
         return self.complement().sum(other.complement()).complement()
-
-    def contains_vector(self, v: RatMatrix) -> bool:
-        if v.nrows != self.ambient or v.ncols != 1:
-            raise ValueError("expected an ambient column vector")
-        if v.is_zero:
-            return True
-        return RatMatrix.hstack(self.basis, v).rank() == self.dim
-
-    def contains(self, other: "Subspace") -> bool:
-        if self.ambient != other.ambient:
-            raise ValueError("ambient dimension mismatch")
-        if other.dim == 0:
-            return True
-        return RatMatrix.hstack(self.basis, other.basis).rank() == self.dim
 
     def projector(self) -> "Projector":
         return projector(self.basis)
@@ -475,9 +504,6 @@ class Projector:
         if self.matrix @ other.matrix != other.matrix:
             raise ValueError("projector difference requires nested ranges")
         return Projector(self.matrix - other.matrix, check=False)
-
-    def range(self) -> Subspace:
-        return self.matrix.colspace
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Projector):
@@ -541,14 +567,14 @@ def _gram_sum(m: RatMatrix, weights: Sequence[int] | None = None) -> tuple[RatMa
         for col in zip(*m._num):
             w = list(col)
             for u, wu, uu in zip(ortho, wortho, norms):
-                uw = sum(a * b for a, b in zip(wu, w))
+                uw = sum(map(mul, wu, w))
                 if uw:
                     w = [uu * a - uw * b for a, b in zip(w, u)]
                     g = _content(w)
                     if g > 1:
                         w = [v // g for v in w]
             ww = w if weights is None else [d * v for d, v in zip(weights, w)]
-            norm = sum(a * b for a, b in zip(ww, w))
+            norm = sum(map(mul, ww, w))
             if norm:
                 ortho.append(w)
                 wortho.append(ww)
@@ -566,7 +592,7 @@ def _gram_sum(m: RatMatrix, weights: Sequence[int] | None = None) -> tuple[RatMa
                 for j, uj in enumerate(u):
                     if uj:
                         row[j] += cui * uj
-    return RatMatrix(num, den), len(ortho)
+    return RatMatrix._of(num, den), len(ortho)
 
 
 def projector(m: RatMatrix) -> Projector:
@@ -667,7 +693,3 @@ def primitive_columns(m: RatMatrix) -> list[list[int]]:
 
 def column_vector(values: Sequence[Fraction | int | str]) -> RatMatrix:
     return RatMatrix.from_rows([[v] for v in values])
-
-
-def as_rat_vector(values: Sequence[Fraction | int | str]) -> list[Fraction]:
-    return [Fraction(v) for v in values]

@@ -171,14 +171,14 @@ def f_cdf(x: float, nu1: float, nu2: float, ncp: float = 0.0) -> float:
 def f_quantile(alpha: float, nu1: float, nu2: float) -> float:
     """Upper-alpha quantile of the central F distribution.
 
-    Returns the point q with f_cdf(q) = 1 - alpha, by bisection.
+    Returns the point q with p_value_from(q) = alpha, by bisection on the
+    upper tail itself, so a small alpha keeps its relative digits.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be strictly between 0 and 1")
     FParams(nu1, nu2)
-    target = 1.0 - alpha
     lo, hi = 0.0, 1.0
-    while f_cdf(hi, nu1, nu2) < target:
+    while p_value_from(hi, nu1, nu2) > alpha:
         lo = hi
         hi *= 2.0
         if hi > 1e300:
@@ -187,7 +187,7 @@ def f_quantile(alpha: float, nu1: float, nu2: float) -> float:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if f_cdf(mid, nu1, nu2) < target:
+        if p_value_from(mid, nu1, nu2) > alpha:
             lo = mid
         else:
             hi = mid

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exanova.exactlin import (
     Projector,
@@ -52,6 +54,53 @@ def slow_canonical_colspace(m: RatMatrix) -> list[list[Fraction]]:
     return basis
 
 
+def slow_kernel_basis(m: RatMatrix) -> list[list[Fraction]]:
+    """Independent oracle: a kernel basis by Fraction Gauss-Jordan, one
+    vector per free column."""
+    a = [[m.entry(i, j) for j in range(m.ncols)] for i in range(m.nrows)]
+    pivots: list[int] = []
+    for c in range(m.ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, m.nrows) if a[i][c] != 0), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(m.nrows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    vecs = []
+    for free in (c for c in range(m.ncols) if c not in pivots):
+        v = [F(0)] * m.ncols
+        v[free] = F(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -a[i][free]
+        vecs.append(v)
+    return vecs
+
+
+def int_rows(nrows, ncols):
+    return st.lists(st.lists(st.integers(-4, 4), min_size=ncols, max_size=ncols),
+                    min_size=nrows, max_size=nrows)
+
+
+@st.composite
+def int_matrices(draw):
+    """Integer matrices up to 5 x 5, zero, rank-deficient, 1 x n and n x 1
+    ones included."""
+    nrows = draw(st.integers(1, 5))
+    ncols = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(("dense", "low_rank", "zero")))
+    if kind == "zero":
+        return RatMatrix.zeros(nrows, ncols)
+    if kind == "dense":
+        return RatMatrix(draw(int_rows(nrows, ncols)))
+    r = draw(st.integers(1, min(nrows, ncols)))
+    return RatMatrix(draw(int_rows(nrows, r))) @ RatMatrix(draw(int_rows(r, ncols)))
+
+
 def random_matrix(rng, nrows, ncols, lo=-4, hi=4, max_rank=None):
     if max_rank is None:
         return RatMatrix.from_rows(
@@ -88,6 +137,31 @@ class TestRatMatrix:
         assert z.shape == (3, 0)
         assert (RatMatrix.from_rows([[1, 2, 3]]) @ z).shape == (1, 0)
         assert RatMatrix.hstack(z, ONES3).shape == (3, 1)
+
+    def test_rational_entries_rejected(self):
+        with pytest.raises(ValueError, match="from_rows"):
+            RatMatrix([[1.5, F(1, 2)]])
+        with pytest.raises(ValueError, match="from_rows"):
+            RatMatrix([[2, 0], [0, F(1, 2)]])
+        assert RatMatrix([[2.0, 1]]) == RatMatrix([[2, 1]])
+
+    def test_rational_denominator_rejected(self):
+        with pytest.raises(ValueError, match="from_rows"):
+            RatMatrix([[1, 2]], 2.7)
+        with pytest.raises(ValueError, match="from_rows"):
+            RatMatrix([[1, 2]], F(3, 2))
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(m=int_matrices(), den=st.integers(1, 12), as_tuples=st.booleans())
+    def test_internal_constructor_matches_public(self, m, den, as_tuples):
+        rows = [list(r) for r in m.int_rows()[0]]
+        if as_tuples:
+            rows = [tuple(r) for r in rows]
+        public = RatMatrix(rows, den)
+        internal = RatMatrix._of(rows, den)
+        assert internal == public
+        assert hash(internal) == hash(public)
+        assert RatMatrix._of(*public.int_rows(), normalized=True) == public
 
     def test_trace_requires_square(self):
         with pytest.raises(ValueError):
@@ -130,6 +204,23 @@ class TestColspace:
             assert [
                 [got.basis.entry(i, j) for i in range(nr)] for j in range(got.dim)
             ] == want
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(m=int_matrices())
+    def test_nullspace_is_canonical_kernel(self, m):
+        got = nullspace(m)
+        assert (m @ got.basis).is_zero
+        vecs = slow_kernel_basis(m)
+        assert got.dim == len(vecs)
+        if not vecs:
+            assert got == Subspace.zero(m.ncols)
+            return
+        spanning = RatMatrix.from_rows([list(r) for r in zip(*vecs)])
+        # one reduction gives the basis the two-reduction route gives
+        assert got == colspace(spanning)
+        assert [
+            [got.basis.entry(i, j) for i in range(m.ncols)] for j in range(got.dim)
+        ] == slow_canonical_colspace(spanning)
 
     def test_same_span_same_basis(self):
         rng = random.Random(7)
@@ -226,6 +317,13 @@ class TestSubspaceCalculus:
             s = colspace(random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7),
                                        max_rank=rng.choice([None, 1, 2])))
             assert complement(complement(s)) == s
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(m=int_matrices())
+    def test_complement_is_memoized(self, m):
+        s = colspace(m)
+        assert s.complement() is s.complement()
+        assert complement(s).complement() == s
 
     def test_intersect_examples(self):
         e = RatMatrix.identity(3)

@@ -66,6 +66,13 @@ class TestQuantile:
                 q = f_quantile(alpha, nu1, nu2)
                 assert abs(f_cdf(q, nu1, nu2) - (1.0 - alpha)) <= 1e-10
 
+    def test_small_alpha_round_trip_is_relative(self):
+        # bisecting 1 - alpha would lose alpha below about 1e-13
+        for alpha in (1e-12, 1e-16, 1e-20, 1e-50, 1e-100):
+            for nu1, nu2 in ((1, 1), (1, 5), (2, 10), (3, 2), (10, 100)):
+                q = f_quantile(alpha, nu1, nu2)
+                assert abs(p_value_from(q, nu1, nu2) - alpha) <= 1e-8 * alpha
+
     def test_alpha_range(self):
         with pytest.raises(ValueError):
             f_quantile(0.0, 2, 3)
