@@ -4,6 +4,11 @@ The numerator sum of squares for any linear hypothesis is the extra SSE
 from fitting the restricted model; it tests exactly the estimable part
 of the hypothesis, and no competing numerator does better.  Everything
 up to p-values is exact rational arithmetic.
+
+The observation-space oracle (`effects.incidence`, `effects.model_matrix`,
+`hypotest.type_numerator`, `hypotest.testing_target`) is not exported
+here: `type_ss` works in cell space, and the oracle serves `verify` and
+the tests from its own modules.
 """
 
 from .dominance import DominanceReport, check_dominance
@@ -16,30 +21,20 @@ from .effects import (
     contrast_matrix,
     effect_model_matrix,
     h_projector,
-    incidence,
-    model_matrix,
     s_matrix,
     u_matrix,
 )
 from .exactlin import (
     Projector,
-    Rat,
     RatMatrix,
     Subspace,
-    colspace,
     column_vector,
-    complement,
-    intersect,
     is_nnd,
-    nullspace,
     primitive_columns,
     projector,
-    rank,
     solve_linear,
-    subspace_sum,
-    trace,
 )
-from .fdist import FParams, f_cdf, f_quantile, p_value, power
+from .fdist import FParams, f_cdf, f_quantile, power
 from .hypotest import (
     HypothesisSpec,
     LinearModel,
@@ -53,8 +48,6 @@ from .hypotest import (
     rmfm_projector,
     rmfm_ss,
     sse,
-    testing_target,
-    type_numerator,
     type_ss,
 )
 from .reference import builtin_layout, target_span
@@ -62,18 +55,10 @@ from .reference import builtin_layout, target_span
 __version__ = "0.1.0"
 
 __all__ = [
-    "Rat",
     "RatMatrix",
     "Subspace",
     "Projector",
-    "colspace",
-    "nullspace",
     "projector",
-    "complement",
-    "intersect",
-    "subspace_sum",
-    "rank",
-    "trace",
     "is_nnd",
     "solve_linear",
     "primitive_columns",
@@ -88,8 +73,6 @@ __all__ = [
     "contrast_matrix",
     "c_block",
     "effect_model_matrix",
-    "incidence",
-    "model_matrix",
     "LinearModel",
     "HypothesisSpec",
     "ParamPoint",
@@ -99,8 +82,6 @@ __all__ = [
     "rmfm_ss",
     "sse",
     "estimable_part",
-    "testing_target",
-    "type_numerator",
     "type_ss",
     "ncp",
     "f_statistic",
@@ -110,7 +91,6 @@ __all__ = [
     "FParams",
     "f_cdf",
     "f_quantile",
-    "p_value",
     "power",
     "builtin_layout",
     "target_span",

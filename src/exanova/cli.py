@@ -9,6 +9,7 @@ deterministic: identical inputs and seeds give identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -137,15 +138,12 @@ def serialize_dataset(ds: Dataset) -> str:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved anova options: which model, effect, SS types, contrasts."""
+    """Resolved anova options that the reports print: the model the
+    targets are reported in, and the effect's label."""
 
     model_set: frozenset[EffectId]
     model_label: str
-    effect: EffectId
     effect_label: str
-    types: tuple[int, ...]
-    scheme: ContrastScheme
-    output: str
 
 
 def _parse_model(text: str) -> tuple[frozenset[EffectId], str]:
@@ -298,6 +296,9 @@ def cmd_anova(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: cannot read {args.data!r}: {exc}", file=sys.stderr)
         return 2
+    except UnicodeDecodeError:
+        print(f"error: {args.data!r} is not UTF-8 text", file=sys.stderr)
+        return 2
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -313,7 +314,7 @@ def cmd_anova(args: argparse.Namespace) -> int:
         scheme = _parse_contrasts(args.contrasts)
         types = (1, 2, 3) if args.type == "all" else (int(args.type),)
         layout, y = ds.layout_and_response()
-        cfg = RunConfig(model_set, model_label, effect, effect_label, types, scheme, args.output)
+        cfg = RunConfig(model_set, model_label, effect_label)
         entries: list[tuple[int, TestResult]] = []
         skipped: list[tuple[int, str]] = []
         for t in types:
@@ -438,7 +439,11 @@ def _prop3_dims(args: argparse.Namespace) -> tuple[tuple[int, ...], ...]:
     return verify_mod.PROP3_DEFAULT_DIMS
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and shared by every `main` call:
+    argparse objects form reference cycles, so a parser per call would
+    leave garbage for the cyclic collector."""
     parser = argparse.ArgumentParser(
         prog="exanova",
         description="Exact-arithmetic ANOVA sums of squares and their tested subspaces.",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactlin import RatMatrix, colspace, is_nnd, projector
+from .exactlin import RatMatrix, is_nnd, projector
 
 __all__ = ["DominanceReport", "check_dominance"]
 
@@ -59,14 +59,14 @@ def check_dominance(x: RatMatrix, h: RatMatrix, l: RatMatrix) -> DominanceReport
     if p_x.matrix @ h != h:
         raise ValueError("precondition failed: sp(H) is not contained in sp(X)")
     xt = x.transpose()
-    if colspace(xt @ l) != colspace(xt @ h):
+    if (xt @ l).colspace != (xt @ h).colspace:
         raise ValueError("precondition failed: sp(X'L) differs from sp(X'H)")
 
     p_h = projector(h)
     p_l = projector(l)
     resid = p_x.complement()
 
-    span_recovered = colspace(p_x.matrix @ l) == colspace(h)
+    span_recovered = (p_x.matrix @ l).colspace == h.colspace
     # sp(H) and sp(X)-perp are orthogonal, so the projector onto their sum
     # is the plain sum of projectors; containment iff it fixes L
     enlarged = p_h.matrix + resid.matrix

@@ -159,10 +159,6 @@ class ContrastScheme:
                 raise ValueError(f"factor {k}: contrast columns must be linearly independent")
         return cls(mats)
 
-    @property
-    def is_default(self) -> bool:
-        return self._per_factor is None
-
     def matrix_for(self, m: int, factor: int = 0) -> RatMatrix:
         if self._per_factor is None:
             return helmert_contrast(m)
@@ -265,12 +261,6 @@ class CellLayout:
 
     def cells(self) -> Iterable[tuple[int, ...]]:
         return itertools.product(*(range(d) for d in self.dims))
-
-    def cell_index(self, levels: Sequence[int]) -> int:
-        idx = 0
-        for level, d in zip(levels, self.dims):
-            idx = idx * d + level
-        return idx
 
     def grid(self) -> list[list[int]]:
         if self.nfactors != 2:

@@ -9,6 +9,13 @@ This keeps the hot paths (echelon reduction, Gram-Schmidt, products) in
 native integer arithmetic, which is 30-60x faster than Fraction-per-entry
 storage while remaining exact.
 
+Each operation of the subspace calculus has one spelling, on the value
+it acts on: `m.colspace` and `m.nullspace` (cached properties),
+`m.rank()`, `m.trace()`, `s.complement()`, `s.intersect(t)` and
+`s.sum(t)`.  The module functions are the operations that are more than
+a forward to a method: `projector`, `weighted_fit`, `is_nnd`,
+`solve_linear`, `primitive_columns` and `column_vector`.
+
 The public constructor checks every entry; results built inside this
 module from rows that are already integer go through the trusted
 `RatMatrix._of`, which skips those checks.  A kernel costs one echelon
@@ -26,22 +33,12 @@ from functools import cached_property
 from operator import mul
 from typing import Iterable, Sequence
 
-Rat = Fraction
-
 __all__ = [
-    "Rat",
     "RatMatrix",
     "Subspace",
     "Projector",
-    "colspace",
-    "nullspace",
     "projector",
     "weighted_fit",
-    "complement",
-    "intersect",
-    "subspace_sum",
-    "rank",
-    "trace",
     "is_nnd",
     "solve_linear",
     "primitive_columns",
@@ -456,9 +453,6 @@ class Subspace:
             raise ValueError("ambient dimension mismatch")
         return self.complement().sum(other.complement()).complement()
 
-    def projector(self) -> "Projector":
-        return projector(self.basis)
-
 
 class Projector:
     """Orthogonal projection matrix: symmetric, idempotent, integer trace."""
@@ -491,9 +485,6 @@ class Projector:
     def ambient(self) -> int:
         return self.matrix.nrows
 
-    def apply(self, v: RatMatrix) -> RatMatrix:
-        return self.matrix @ v
-
     def complement(self) -> "Projector":
         return Projector(RatMatrix.identity(self.ambient) - self.matrix, check=False)
 
@@ -515,38 +506,6 @@ class Projector:
 
     def __repr__(self) -> str:
         return f"Projector(rank {self.nu} on R^{self.ambient})"
-
-
-# -- operation forms of the subspace calculus -----------------------------
-
-
-def colspace(m: RatMatrix) -> Subspace:
-    """Subspace spanned by the columns of m, with canonical basis."""
-    return m.colspace
-
-
-def nullspace(m: RatMatrix) -> Subspace:
-    return m.nullspace
-
-
-def rank(m: RatMatrix) -> int:
-    return m.rank()
-
-
-def trace(m: RatMatrix) -> Fraction:
-    return m.trace()
-
-
-def complement(s: Subspace) -> Subspace:
-    return s.complement()
-
-
-def intersect(s1: Subspace, s2: Subspace) -> Subspace:
-    return s1.intersect(s2)
-
-
-def subspace_sum(s1: Subspace, s2: Subspace) -> Subspace:
-    return s1.sum(s2)
 
 
 def _gram_sum(m: RatMatrix, weights: Sequence[int] | None = None) -> tuple[RatMatrix, int]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["FParams", "f_cdf", "f_quantile", "p_value", "p_value_from", "power"]
+__all__ = ["FParams", "f_cdf", "f_quantile", "p_value_from", "power"]
 
 _BETACF_TOL = 1e-14
 _BETACF_MAX_ITER = 400
@@ -216,13 +216,6 @@ def p_value_from(f: float, nu1: float, nu2: float) -> float:
     a = params.nu1 / 2.0
     b = params.nu2 / 2.0
     return _betainc_tails(a, b, z, w, math.log(w), upper=True)
-
-
-def p_value(result) -> float:
-    """Right-tail p-value for a TestResult with a defined F value."""
-    if result.f_value is None:
-        raise ValueError("F statistic is undefined; no p-value exists")
-    return p_value_from(float(result.f_value), result.nu_num, result.nu_den)
 
 
 def power(alpha: float, nu1: float, nu2: float, ncp: float) -> float:

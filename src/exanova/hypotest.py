@@ -28,9 +28,7 @@ from .exactlin import (
     Projector,
     RatMatrix,
     Subspace,
-    colspace,
     column_vector,
-    intersect,
     projector,
     solve_linear,
     weighted_fit,
@@ -41,7 +39,6 @@ __all__ = [
     "HypothesisSpec",
     "ParamPoint",
     "TestResult",
-    "SS_TYPES",
     "restriction_nullbasis",
     "rmfm_projector",
     "rmfm_ss",
@@ -56,9 +53,6 @@ __all__ = [
     "adjust_rhs",
     "quad_form",
 ]
-
-SS_TYPES = (1, 2, 3)
-
 
 class LinearModel:
     """A fixed design matrix with its cached projector and rank."""
@@ -79,9 +73,6 @@ class LinearModel:
     @property
     def ncoef(self) -> int:
         return self.x.ncols
-
-    def residual_projector(self) -> Projector:
-        return self.projector.complement()
 
     def __repr__(self) -> str:
         return f"LinearModel(n={self.n}, coef={self.ncoef}, rank={self.nu})"
@@ -155,7 +146,7 @@ def quad_form(y: Sequence[Fraction | int | str], p: RatMatrix) -> Fraction:
 def restriction_nullbasis(spec: HypothesisSpec) -> RatMatrix:
     """Basis N of the orthogonal complement of sp(G); the restricted model
     {X b : G'b = 0} is then spanned by X N."""
-    return colspace(spec.g).complement().basis
+    return spec.g.colspace.complement().basis
 
 
 def rmfm_projector(model: LinearModel, spec: HypothesisSpec) -> Projector:
@@ -180,16 +171,11 @@ def sse(y: Sequence[Fraction | int | str], x: RatMatrix) -> Fraction:
 def estimable_part(model: LinearModel, spec: HypothesisSpec) -> Subspace:
     """The testable portion of the hypothesis: sp(X') intersect sp(G).
 
-    Computed two ways (directly, and as sp(X' P_H) through the numerator
-    projector); the routes provably agree, and disagreement would mean a
-    defect in the subspace calculus, so it is checked.
+    Proposition 1 says this is also sp(X' P_H) for the numerator
+    projector P_H; `verify prop1` checks that identity.
     """
     _check_pair(model, spec)
-    direct = intersect(colspace(model.x.transpose()), colspace(spec.g))
-    via_projector = colspace(model.x.transpose() @ rmfm_projector(model, spec).matrix)
-    if direct != via_projector:
-        raise AssertionError("estimable-part routes disagree; subspace calculus is broken")
-    return direct
+    return model.x.transpose().colspace.intersect(spec.g.colspace)
 
 
 def testing_target(m: RatMatrix, k: RatMatrix, p: Projector) -> Subspace:
@@ -199,7 +185,7 @@ def testing_target(m: RatMatrix, k: RatMatrix, p: Projector) -> Subspace:
         raise ValueError("incidence rows must match the projector's space")
     if k.ncols != m.nrows:
         raise ValueError("incidence columns must match the cell-mean model rows")
-    return colspace(projector(m).matrix @ k.transpose() @ p.matrix)
+    return (projector(m).matrix @ k.transpose() @ p.matrix).colspace
 
 
 def type_model_set(t: int, effect: EffectId) -> frozenset[EffectId]:
@@ -299,7 +285,7 @@ def type_ss(
         p = fdist.p_value_from(float(f_value), nu_num, nu_den)
     target_set = report_set if report_set is not None else model_set
     m = effect_model_matrix(target_set, layout.dims, scheme)
-    target = colspace(projector(m).matrix @ d @ a_num @ d)
+    target = (projector(m).matrix @ d @ a_num @ d).colspace
     return TestResult(
         ss_num=ss_num,
         nu_num=nu_num,
@@ -368,6 +354,6 @@ def adjust_rhs(
     particular = solve_linear(spec.g.transpose(), c_vec)
     if particular is None:
         raise ValueError("inconsistent right-hand side: no b0 satisfies G'b0 = c0")
-    b0 = projector(spec.g).apply(column_vector(particular))
+    b0 = projector(spec.g).matrix @ column_vector(particular)
     shifted = column_vector(y) - model.x @ b0
     return [shifted.entry(i, 0) for i in range(shifted.nrows)]

@@ -15,7 +15,7 @@ from functools import lru_cache
 from importlib import resources
 
 from .effects import CellLayout
-from .exactlin import RatMatrix, Subspace, colspace
+from .exactlin import RatMatrix, Subspace
 
 __all__ = ["LAYOUT_NAMES", "TARGET_PAIRS", "builtin_layout", "target_span", "target_columns"]
 
@@ -49,4 +49,4 @@ def target_columns(layout_name: str, t: int, m: int) -> list[list[int]]:
 
 def target_span(layout_name: str, t: int, m: int) -> Subspace:
     cols = target_columns(layout_name, t, m)
-    return colspace(RatMatrix(list(zip(*cols)), 1))
+    return RatMatrix(list(zip(*cols)), 1).colspace

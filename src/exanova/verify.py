@@ -15,7 +15,6 @@ from fractions import Fraction
 from . import fdist
 from .dominance import auxiliary_projector, check_dominance
 from .effects import (
-    CellLayout,
     ContrastScheme,
     EffectId,
     all_effects,
@@ -26,13 +25,9 @@ from .effects import (
     incidence,
 )
 from .exactlin import (
-    Projector,
     RatMatrix,
     Subspace,
-    colspace,
     column_vector,
-    complement,
-    intersect,
     projector,
     solve_linear,
 )
@@ -147,7 +142,7 @@ def random_prop2_instance(
         a = random_int_matrix(rng, hc, hc)
         if a.rank() == hc:
             break
-    w = complement(colspace(x)).basis
+    w = x.colspace.complement().basis
     if w.ncols:
         l = h @ a + w @ random_int_matrix(rng, w.ncols, hc)
     else:
@@ -176,10 +171,8 @@ def verify_table1() -> list[Check]:
     layouts and compare, exactly, against the reference matrices."""
     checks: list[Check] = []
     a_effect = EffectId((1, 0))
-    c10_span = colspace(helmert_contrast(3).kron(RatMatrix.ones(3)))
-    second_diff = colspace(
-        RatMatrix.from_rows([[0], [1], [-1]]).kron(RatMatrix.ones(3))
-    )
+    c10_span = helmert_contrast(3).kron(RatMatrix.ones(3)).colspace
+    second_diff = RatMatrix.from_rows([[0], [1], [-1]]).kron(RatMatrix.ones(3)).colspace
     for lname in LAYOUT_NAMES:
         layout = builtin_layout(lname)
         k = incidence(layout)
@@ -217,11 +210,11 @@ def verify_table1() -> list[Check]:
         k,
         type_numerator(1, EffectId((1, 0)), layout),
     )
-    h10_span = colspace(h_projector(EffectId((1, 0)), (3, 3)).matrix)
+    h10_span = h_projector(EffectId((1, 0)), (3, 3)).matrix.colspace
     checks.append(
         Check(
             "table1 n1 saturated-model target of the type-1 SS misses all A main effects",
-            intersect(g13, h10_span).dim == 0,
+            g13.intersect(h10_span).dim == 0,
         )
     )
     return checks
@@ -259,8 +252,8 @@ def verify_prop1(seed: int = DEFAULT_SEED, trials: int = 500) -> list[Check]:
             shape_ok = False
             first_fail = first_fail or f"trial {trial}: projector not idempotent"
         xt = x.transpose()
-        left = colspace(xt @ p_h.matrix)
-        right = intersect(colspace(xt), colspace(g))
+        left = (xt @ p_h.matrix).colspace
+        right = xt.colspace.intersect(g.colspace)
         if left != right:
             forward_ok = False
             first_fail = first_fail or f"trial {trial}: tested span mismatch"
@@ -339,7 +332,7 @@ def verify_prop3(
         effs = all_effects(f)
         blocks = {e: c_block(e, dims) for e in effs}
         h_mats = {e: h_projector(e, dims).matrix for e in effs}
-        comp_h = {e: complement(colspace(h_mats[e])) for e in effs}
+        comp_h = {e: h_mats[e].colspace.complement() for e in effs}
         alt = difference_scheme(dims)
         alt_blocks = {e: c_block(e, dims, alt) for e in effs}
         span_ok = removal_ok = scheme_ok = True
@@ -350,9 +343,9 @@ def verify_prop3(
             if not subset:
                 return Subspace.zero(n)
             if subset not in span_cache:
-                span_cache[subset] = colspace(
-                    RatMatrix.hstack(*(blocks[e] for e in effs if e in subset))
-                )
+                span_cache[subset] = RatMatrix.hstack(
+                    *(blocks[e] for e in effs if e in subset)
+                ).colspace
             return span_cache[subset]
 
         for r in range(1, len(effs) + 1):
@@ -362,15 +355,15 @@ def verify_prop3(
                 h_sum = RatMatrix.zeros(ambient, ambient)
                 for e in combo:
                     h_sum = h_sum + h_mats[e]
-                if s_c != colspace(h_sum):
+                if s_c != h_sum.colspace:
                     span_ok = False
                     detail = detail or f"span mismatch at subset {{{','.join(map(str, combo))}}}"
                 alt_c = RatMatrix.hstack(*(alt_blocks[e] for e in effs if e in subset))
-                if colspace(alt_c) != s_c:
+                if alt_c.colspace != s_c:
                     scheme_ok = False
                     detail = detail or f"scheme dependence at subset {{{','.join(map(str, combo))}}}"
                 for star in combo:
-                    got = intersect(s_c, comp_h[star])
+                    got = s_c.intersect(comp_h[star])
                     want = span_of(subset - {star})
                     if got != want:
                         removal_ok = False

@@ -1,0 +1,55 @@
+"""Guards on the public names: the package exports, the functions the
+benchmark's tracer wraps, and the README's library example."""
+
+import contextlib
+import importlib
+import importlib.util
+import io
+import re
+from pathlib import Path
+
+import exanova
+from exanova import exactlin
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("exabench_spans", ROOT / "exabench" / "spans.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_every_trace_target_resolves():
+    missing = []
+    for span, modname, owner, attr, _hook in load_spans().TARGETS:
+        mod = importlib.import_module(f"exanova.{modname}")
+        if owner is None:
+            found = callable(getattr(mod, attr, None))
+        else:
+            found = attr in vars(getattr(mod, owner, object))
+        if not found:
+            missing.append(span)
+    assert missing == []
+
+
+def test_every_export_resolves():
+    assert [name for name in exanova.__all__ if not hasattr(exanova, name)] == []
+    assert [name for name in exactlin.__all__ if not hasattr(exactlin, name)] == []
+
+
+def test_subspace_calculus_has_method_spelling_only():
+    for name in ("colspace", "nullspace", "rank", "trace", "complement", "intersect", "subspace_sum"):
+        assert not hasattr(exactlin, name)
+        assert not hasattr(exanova, name)
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library example", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    assert out.getvalue().splitlines()[1] == "1"

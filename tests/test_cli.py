@@ -1,5 +1,7 @@
 """Tests for CSV ingestion, report rendering, and the verify command."""
 
+import argparse
+import gc
 import io
 import json
 from contextlib import redirect_stdout
@@ -203,6 +205,14 @@ class TestAnovaCommand:
         code, _ = run_cli(["anova", "--data", str(data), "--effect", "A"])
         assert code == 2
 
+    def test_non_utf8_file_rejected(self, tmp_path, capsys):
+        data = tmp_path / "utf16.csv"
+        data.write_bytes(b"\xff\xfeA,B,y\n")
+        code, out = run_cli(["anova", "--data", str(data)])
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err == f"error: {str(data)!r} is not UTF-8 text\n"
+
 
 class TestVerifyCommand:
     def test_table1_passes(self):
@@ -259,3 +269,18 @@ class TestVerifyCommand:
         mats.write_text(json.dumps({"X": [[1], [0]], "H": [[0], [1]], "L": [[0], [1]]}))
         code, _ = run_cli(["verify", "dominance", "--matrices", str(mats)])
         assert code == 2
+
+    def test_parser_built_once(self):
+        run_cli(["verify", "fdist"])
+        gc.collect()
+        old = gc.get_debug()
+        gc.garbage.clear()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            run_cli(["verify", "fdist"])
+            gc.collect()
+            parsers = [o for o in gc.garbage if isinstance(o, argparse.ArgumentParser)]
+        finally:
+            gc.set_debug(old)
+            gc.garbage.clear()
+        assert parsers == []

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from exanova.dominance import auxiliary_projector, check_dominance
-from exanova.exactlin import RatMatrix, colspace, complement, is_nnd
+from exanova.exactlin import RatMatrix, is_nnd
 
 def random_matrix(rng, nrows, ncols, max_rank=None):
     if max_rank is None:
@@ -31,7 +31,7 @@ def dominance_instance(rng, max_n=8):
             a = random_matrix(rng, hc, hc)
             if a.rank() == hc:
                 break
-        w = complement(colspace(x)).basis
+        w = x.colspace.complement().basis
         if w.ncols:
             l = h @ a + w @ random_matrix(rng, w.ncols, hc)
         else:
@@ -55,7 +55,7 @@ class TestCheckDominance:
         rng = random.Random(10)
         x = random_matrix(rng, 6, 3)
         h = x @ random_matrix(rng, 3, 2)
-        z = complement(colspace(x)).basis
+        z = x.colspace.complement().basis
         assert z.ncols > 0
         l = RatMatrix.hstack(h, z)
         rpt = check_dominance(x, h, l)

@@ -21,7 +21,7 @@ from exanova.effects import (
     s_matrix,
     u_matrix,
 )
-from exanova.exactlin import RatMatrix, Subspace, colspace, complement, intersect, projector
+from exanova.exactlin import RatMatrix, Subspace, projector
 
 F = Fraction
 
@@ -173,7 +173,7 @@ class TestCBlocks:
 class TestEffectModelMatrix:
     def test_full_set_spans_everything(self):
         m = effect_model_matrix(all_effects(2), (3, 3))
-        assert colspace(m) == Subspace.full(9)
+        assert m.colspace == Subspace.full(9)
 
     def test_additive_model_span(self):
         effs = [EffectId.parse(s) for s in ("00", "10", "01")]
@@ -183,11 +183,11 @@ class TestEffectModelMatrix:
             + h_projector(EffectId.parse("10"), (3, 3)).matrix
             + h_projector(EffectId.parse("01"), (3, 3)).matrix
         )
-        assert colspace(m) == colspace(hsum)
+        assert m.colspace == hsum.colspace
 
     def test_grand_mean_only(self):
         m = effect_model_matrix([EffectId.parse("00")], (3, 3))
-        assert colspace(m) == colspace(RatMatrix.ones(9))
+        assert m.colspace == RatMatrix.ones(9).colspace
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
@@ -208,18 +208,16 @@ class TestEffectModelMatrix:
                 hsum = RatMatrix.zeros(n, n)
                 for e in subset:
                     hsum = hsum + h_projector(e, dims).matrix
-                span = colspace(m)
-                assert span == colspace(hsum)
+                span = m.colspace
+                assert span == hsum.colspace
                 for star in subset:
                     rest = [e for e in subset if e != star]
                     reduced = (
-                        colspace(effect_model_matrix(rest, dims))
+                        effect_model_matrix(rest, dims).colspace
                         if rest
                         else Subspace.zero(n)
                     )
-                    target = intersect(
-                        span, complement(colspace(h_projector(star, dims).matrix))
-                    )
+                    target = span.intersect(h_projector(star, dims).matrix.colspace.complement())
                     assert reduced == target
 
 
@@ -254,12 +252,12 @@ class TestLayoutsAndIncidence:
     def test_model_matrix_saturated_spans_incidence(self):
         m = model_matrix(all_effects(2), N0)
         k = incidence(N0)
-        assert colspace(m) == colspace(k)
-        assert colspace(m).dim == 9
+        assert m.colspace == k.colspace
+        assert m.colspace.dim == 9
 
     def test_model_matrix_grand_mean_is_ones(self):
         m = model_matrix([EffectId.parse("00")], N1)
-        assert colspace(m) == colspace(RatMatrix.ones(28))
+        assert m.colspace == RatMatrix.ones(28).colspace
 
     def test_balanced_model_projector_is_kron(self):
         layout = CellLayout.from_grid([[3, 3], [3, 3]])

@@ -11,16 +11,10 @@ from exanova.exactlin import (
     Projector,
     RatMatrix,
     Subspace,
-    colspace,
     column_vector,
-    complement,
-    intersect,
     is_nnd,
-    nullspace,
     projector,
-    rank,
     solve_linear,
-    subspace_sum,
     weighted_fit,
 )
 
@@ -176,21 +170,21 @@ class TestRatMatrix:
 
 class TestColspace:
     def test_identity_spans_everything(self):
-        s = colspace(RatMatrix.identity(3))
+        s = RatMatrix.identity(3).colspace
         assert s.dim == 3
         assert s == Subspace.full(3)
 
     def test_ones_column(self):
-        s = colspace(ONES3)
+        s = ONES3.colspace
         assert s.dim == 1
         assert s.basis == ONES3
 
     def test_contrast_columns_span_complement_of_ones(self):
-        assert colspace(C3) == complement(colspace(ONES3))
-        assert colspace(C3).dim == 2
+        assert C3.colspace == ONES3.colspace.complement()
+        assert C3.colspace.dim == 2
 
     def test_zero_matrix_gives_zero_subspace(self):
-        assert colspace(RatMatrix.zeros(4, 2)) == Subspace.zero(4)
+        assert RatMatrix.zeros(4, 2).colspace == Subspace.zero(4)
 
     def test_canonical_basis_matches_fraction_oracle(self):
         rng = random.Random(421)
@@ -198,7 +192,7 @@ class TestColspace:
             nr = rng.randint(1, 8)
             nc = rng.randint(1, 8)
             m = random_matrix(rng, nr, nc, max_rank=rng.choice([None, 1, 2, 3]))
-            got = colspace(m)
+            got = m.colspace
             want = slow_canonical_colspace(m)
             assert got.dim == len(want)
             assert [
@@ -208,7 +202,7 @@ class TestColspace:
     @settings(derandomize=True, max_examples=80, deadline=None)
     @given(m=int_matrices())
     def test_nullspace_is_canonical_kernel(self, m):
-        got = nullspace(m)
+        got = m.nullspace
         assert (m @ got.basis).is_zero
         vecs = slow_kernel_basis(m)
         assert got.dim == len(vecs)
@@ -217,7 +211,7 @@ class TestColspace:
             return
         spanning = RatMatrix.from_rows([list(r) for r in zip(*vecs)])
         # one reduction gives the basis the two-reduction route gives
-        assert got == colspace(spanning)
+        assert got == spanning.colspace
         assert [
             [got.basis.entry(i, j) for i in range(m.ncols)] for j in range(got.dim)
         ] == slow_canonical_colspace(spanning)
@@ -228,8 +222,8 @@ class TestColspace:
             m = random_matrix(rng, 5, 3)
             mix = random_matrix(rng, 3, 4)
             scaled = (m @ mix)
-            s1 = colspace(m)
-            s2 = colspace(RatMatrix.hstack(m, scaled))
+            s1 = m.colspace
+            s2 = RatMatrix.hstack(m, scaled).colspace
             assert s1 == s2
 
 
@@ -296,7 +290,7 @@ class TestWeightedFit:
             )
             a, r = weighted_fit(m, weights)
             assert k @ a @ k.T == projector(k @ m).matrix
-            assert r == rank(k @ m)
+            assert r == (k @ m).rank()
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
@@ -307,62 +301,62 @@ class TestWeightedFit:
 
 class TestSubspaceCalculus:
     def test_complement_examples(self):
-        assert complement(colspace(ONES3)) == colspace(C3)
-        assert complement(Subspace.zero(2)) == Subspace.full(2)
-        assert complement(Subspace.full(2)) == Subspace.zero(2)
+        assert ONES3.colspace.complement() == C3.colspace
+        assert Subspace.zero(2).complement() == Subspace.full(2)
+        assert Subspace.full(2).complement() == Subspace.zero(2)
 
     def test_complement_involution(self):
         rng = random.Random(5)
         for _ in range(40):
-            s = colspace(random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7),
-                                       max_rank=rng.choice([None, 1, 2])))
-            assert complement(complement(s)) == s
+            s = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7),
+                              max_rank=rng.choice([None, 1, 2])).colspace
+            assert s.complement().complement() == s
 
     @settings(derandomize=True, max_examples=30, deadline=None)
     @given(m=int_matrices())
     def test_complement_is_memoized(self, m):
-        s = colspace(m)
+        s = m.colspace
         assert s.complement() is s.complement()
-        assert complement(s).complement() == s
+        assert s.complement().complement() == s
 
     def test_intersect_examples(self):
         e = RatMatrix.identity(3)
-        s12 = colspace(RatMatrix.hstack(e.column(0), e.column(1)))
-        s23 = colspace(RatMatrix.hstack(e.column(1), e.column(2)))
-        assert intersect(s12, s23) == colspace(e.column(1))
-        assert intersect(s12, s12) == s12
+        s12 = RatMatrix.hstack(e.column(0), e.column(1)).colspace
+        s23 = RatMatrix.hstack(e.column(1), e.column(2)).colspace
+        assert s12.intersect(s23) == e.column(1).colspace
+        assert s12.intersect(s12) == s12
         with pytest.raises(ValueError):
-            intersect(Subspace.zero(2), Subspace.zero(3))
+            Subspace.zero(2).intersect(Subspace.zero(3))
 
     def test_intersect_agrees_with_direct_route(self):
         # independent route: solve [B1 | -B2] z = 0 and map back through B1
         rng = random.Random(31)
         for _ in range(40):
             n = rng.randint(2, 6)
-            s1 = colspace(random_matrix(rng, n, rng.randint(1, n)))
-            s2 = colspace(random_matrix(rng, n, rng.randint(1, n)))
-            got = intersect(s1, s2)
+            s1 = random_matrix(rng, n, rng.randint(1, n)).colspace
+            s2 = random_matrix(rng, n, rng.randint(1, n)).colspace
+            got = s1.intersect(s2)
             if s1.dim == 0 or s2.dim == 0:
                 assert got.dim == 0
                 continue
             stacked = RatMatrix.hstack(s1.basis, s2.basis.scale(-1))
-            ker = nullspace(stacked)
+            ker = stacked.nullspace
             if ker.dim == 0:
                 direct = Subspace.zero(n)
             else:
                 kb_rows, kb_den = ker.basis.int_rows()
                 coeff = RatMatrix(kb_rows[: s1.dim], kb_den)
-                direct = colspace(s1.basis @ coeff)
+                direct = (s1.basis @ coeff).colspace
             assert got == direct
 
     def test_sum_and_nullspace_examples(self):
         e = RatMatrix.identity(3)
-        assert subspace_sum(colspace(e.column(0)), colspace(e.column(1))) == colspace(
-            RatMatrix.hstack(e.column(0), e.column(1))
-        )
-        assert nullspace(ONES3.transpose()) == colspace(C3)
+        assert e.column(0).colspace.sum(e.column(1).colspace) == RatMatrix.hstack(
+            e.column(0), e.column(1)
+        ).colspace
+        assert ONES3.transpose().nullspace == C3.colspace
         s3 = RatMatrix.identity(3) - RatMatrix([[1] * 3] * 3, 3)
-        assert rank(s3) == 2
+        assert s3.rank() == 2
 
 
 class TestIsNnd:

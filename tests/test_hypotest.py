@@ -21,10 +21,7 @@ from exanova.exactlin import (
     Projector,
     RatMatrix,
     Subspace,
-    colspace,
     column_vector,
-    complement,
-    intersect,
     projector,
 )
 from exanova.hypotest import (
@@ -79,13 +76,13 @@ class TestRestrictionNullbasis:
     def test_zero_hypothesis_is_vacuous(self):
         spec = HypothesisSpec(RatMatrix.zeros(3, 2))
         n = restriction_nullbasis(spec)
-        assert colspace(n) == Subspace.full(3)
+        assert n.colspace == Subspace.full(3)
 
     def test_single_coordinate(self):
         e2 = column_vector([0, 1, 0])
         n = restriction_nullbasis(HypothesisSpec(e2))
         e = RatMatrix.identity(3)
-        assert colspace(n) == colspace(RatMatrix.hstack(e.column(0), e.column(2)))
+        assert n.colspace == RatMatrix.hstack(e.column(0), e.column(2)).colspace
 
 
 class TestRmfmProjector:
@@ -177,7 +174,7 @@ class TestEstimablePart:
         x = RatMatrix.from_rows([[1, 0], [0, 1], [1, 1]])
         model = LinearModel(x)
         g = RatMatrix.from_rows([[1, 0], [2, 1]])
-        assert estimable_part(model, HypothesisSpec(g)) == colspace(g)
+        assert estimable_part(model, HypothesisSpec(g)) == g.colspace
 
     def test_saturated_cell_means_with_empty_cell(self):
         layout = builtin_layout("n2")
@@ -185,7 +182,7 @@ class TestEstimablePart:
         model = LinearModel(x)
         c10 = helmert_contrast(3).kron(RatMatrix.ones(3))
         got = estimable_part(model, HypothesisSpec(c10))
-        want = colspace(RatMatrix.from_rows([[0], [1], [-1]]).kron(RatMatrix.ones(3)))
+        want = RatMatrix.from_rows([[0], [1], [-1]]).kron(RatMatrix.ones(3)).colspace
         assert got == want
         assert got.dim == 1
 
@@ -194,7 +191,7 @@ class TestEstimablePart:
         for name in ("n0", "n1"):
             model = LinearModel(incidence(builtin_layout(name)))
             got = estimable_part(model, HypothesisSpec(c10))
-            assert got == colspace(c10)
+            assert got == c10.colspace
 
 
 class TestTestingTarget:
@@ -204,7 +201,7 @@ class TestTestingTarget:
         m_add = effect_model_matrix(type_model_set(2, A_EFFECT), layout.dims)
         p1 = type_numerator(1, A_EFFECT, layout)
         c10 = helmert_contrast(3).kron(RatMatrix.ones(3))
-        assert target_of(m_add, k, p1) == colspace(c10)
+        assert target_of(m_add, k, p1) == c10.colspace
 
     def test_saturated_model_target_under_proportional_counts(self):
         layout = builtin_layout("n1")
@@ -225,10 +222,10 @@ class TestTestingTarget:
         m_add = effect_model_matrix(type_model_set(2, A_EFFECT), layout.dims)
         m_sat = effect_model_matrix(all_effects(2), layout.dims)
         p1 = type_numerator(1, A_EFFECT, layout)
-        c10_span = colspace(helmert_contrast(3).kron(RatMatrix.ones(3)))
-        h10_span = colspace(h_projector(A_EFFECT, (3, 3)).matrix)
+        c10_span = helmert_contrast(3).kron(RatMatrix.ones(3)).colspace
+        h10_span = h_projector(A_EFFECT, (3, 3)).matrix.colspace
         assert target_of(m_add, k, p1) == c10_span
-        assert intersect(target_of(m_sat, k, p1), h10_span) == Subspace.zero(9)
+        assert target_of(m_sat, k, p1).intersect(h10_span) == Subspace.zero(9)
 
 
 class TestTypeSs:
@@ -243,7 +240,7 @@ class TestTypeSs:
         layout = builtin_layout("n1")
         rng = random.Random(8)
         y = [rng.randint(-5, 5) for _ in range(layout.n)]
-        c10_span = colspace(helmert_contrast(3).kron(RatMatrix.ones(3)))
+        c10_span = helmert_contrast(3).kron(RatMatrix.ones(3)).colspace
         r1 = type_ss(1, A_EFFECT, layout, y)
         r2 = type_ss(2, A_EFFECT, layout, y)
         assert r1.estimable_part == c10_span
