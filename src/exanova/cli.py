@@ -11,13 +11,14 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .effects import CellLayout, ContrastScheme, EffectId
 from .exactlin import RatMatrix, primitive_columns
-from .hypotest import TestResult, type_model_set, type_ss
+from .hypotest import AnovaPlan, TestResult, type_model_set
 from . import verify as verify_mod
 
 __all__ = ["Dataset", "RunConfig", "parse_dataset", "serialize_dataset", "main"]
@@ -47,36 +48,24 @@ class Dataset:
     def nfactors(self) -> int:
         return len(self.factor_names)
 
-    def level_values(self) -> list[list[str]]:
-        """Distinct labels per factor, numerically sorted when possible."""
-        out = []
+    def layout_and_response(self) -> tuple[CellLayout, list[Fraction]]:
+        """Cell layout plus the response grouped cell by cell in one pass;
+        replicates within a cell keep file order.  A factor's levels sort
+        numerically when all its labels are integers."""
+        index = []
         for k in range(self.nfactors):
             seen = sorted({row[k] for row in self.labels})
             if all(_is_int(s) for s in seen):
                 seen.sort(key=int)
-            out.append(seen)
-        return out
-
-    def layout_and_response(self) -> tuple[CellLayout, list[Fraction]]:
-        """Cell layout plus the response reordered cell-by-cell (stable
-        within a cell, so replicate order follows file order)."""
-        levels = self.level_values()
-        index = [{lab: i for i, lab in enumerate(vals)} for vals in levels]
-        dims = tuple(len(vals) for vals in levels)
-        ncells = 1
-        for d in dims:
-            ncells *= d
-        counts = [0] * ncells
-        keyed = []
-        for pos, (labs, y) in enumerate(zip(self.labels, self.response)):
+            index.append({lab: i for i, lab in enumerate(seen)})
+        dims = tuple(map(len, index))
+        cells: list[list[Fraction]] = [[] for _ in range(math.prod(dims))]
+        for labs, y in zip(self.labels, self.response):
             cell = 0
             for k, lab in enumerate(labs):
                 cell = cell * dims[k] + index[k][lab]
-            counts[cell] += 1
-            keyed.append((cell, pos, y))
-        keyed.sort(key=lambda t: (t[0], t[1]))
-        layout = CellLayout(dims, tuple(counts))
-        return layout, [y for _, _, y in keyed]
+            cells[cell].append(y)
+        return CellLayout(dims, tuple(map(len, cells))), [y for c in cells for y in c]
 
 
 def _is_int(s: str) -> bool:
@@ -146,6 +135,20 @@ class RunConfig:
     effect_label: str
 
 
+def _read_input(path: str, parse):
+    """parse(text of the file at `path`); a file that cannot be read, is
+    not UTF-8 or is not valid JSON fails with a message naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh.read())
+    except OSError as exc:
+        raise InputError(f"cannot read {path!r}: {exc}") from None
+    except UnicodeDecodeError:
+        raise InputError(f"{path!r} is not UTF-8 text") from None
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path!r} is not valid JSON: {exc}") from None
+
+
 def _parse_model(text: str) -> tuple[frozenset[EffectId], str]:
     if text in MODEL_PRESETS:
         return frozenset(EffectId.parse(s) for s in MODEL_PRESETS[text]), text
@@ -178,13 +181,7 @@ def _parse_effect(text: str) -> tuple[EffectId, str]:
 def _parse_contrasts(text: str) -> ContrastScheme:
     if text in ("paper", "helmert", "default"):
         return ContrastScheme.helmert()
-    try:
-        with open(text, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read contrast file {text!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"contrast file {text!r} is not valid JSON: {exc}") from None
+    data = _read_input(text, json.loads)
     if not isinstance(data, list):
         raise InputError("contrast file must hold a JSON array of per-factor matrices")
     try:
@@ -246,8 +243,9 @@ def _combo_terms(coeffs: list[int], pattern: str) -> str:
     return " ".join(parts)
 
 
-def _render_table(cfg: RunConfig, layout: CellLayout, entries: list[tuple[int, TestResult]],
+def _render_table(cfg: RunConfig, plan: AnovaPlan, entries: list[tuple[int, TestResult]],
                   skipped: list[tuple[int, str]]) -> str:
+    layout = plan.layout
     a, b = layout.dims
     lines = []
     lines.append(f"layout: {a}x{b} cells, n={layout.n}")
@@ -256,9 +254,7 @@ def _render_table(cfg: RunConfig, layout: CellLayout, entries: list[tuple[int, T
     effs = ",".join(str(e) for e in sorted(cfg.model_set, key=EffectId.sort_key))
     lines.append(f"model: {cfg.model_label} (effects {effs})")
     lines.append(f"effect: {cfg.effect_label}")
-    if entries:
-        den = entries[0][1]
-        lines.append(f"denominator: saturated-model residual, SS = {den.ss_den}, df = {den.nu_den}")
+    lines.append(f"denominator: saturated-model residual, SS = {plan.ss_den}, df = {plan.nu_den}")
     lines.append("")
     lines.append(f"{'type':<6}{'SS':<18}{'df':<4}{'F':<18}{'p':<12}{'target dim'}")
     for t, res in entries:
@@ -291,18 +287,7 @@ def _render_table(cfg: RunConfig, layout: CellLayout, entries: list[tuple[int, T
 
 def cmd_anova(args: argparse.Namespace) -> int:
     try:
-        with open(args.data, encoding="utf-8") as fh:
-            ds = parse_dataset(fh.read())
-    except OSError as exc:
-        print(f"error: cannot read {args.data!r}: {exc}", file=sys.stderr)
-        return 2
-    except UnicodeDecodeError:
-        print(f"error: {args.data!r} is not UTF-8 text", file=sys.stderr)
-        return 2
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
+        ds = _read_input(args.data, parse_dataset)
         if ds.nfactors != 2:
             raise InputError(
                 f"anova needs exactly two factor columns, found {ds.nfactors}"
@@ -314,6 +299,7 @@ def cmd_anova(args: argparse.Namespace) -> int:
         scheme = _parse_contrasts(args.contrasts)
         types = (1, 2, 3) if args.type == "all" else (int(args.type),)
         layout, y = ds.layout_and_response()
+        plan = AnovaPlan(layout, y, scheme)
         cfg = RunConfig(model_set, model_label, effect_label)
         entries: list[tuple[int, TestResult]] = []
         skipped: list[tuple[int, str]] = []
@@ -324,9 +310,7 @@ def cmd_anova(args: argparse.Namespace) -> int:
                     skipped.append((t, reason))
                     continue
                 raise InputError(reason)
-            entries.append(
-                (t, type_ss(t, effect, layout, y, scheme, report_set=model_set))
-            )
+            entries.append((t, plan.ss(t, effect, report_set=model_set)))
     except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -335,17 +319,13 @@ def cmd_anova(args: argparse.Namespace) -> int:
             "layout": {"dims": list(layout.dims), "counts": layout.grid(), "n": layout.n},
             "model": cfg.model_label,
             "effect": cfg.effect_label,
-            "denominator": (
-                {"ss": _frac_json(entries[0][1].ss_den), "df": entries[0][1].nu_den}
-                if entries
-                else None
-            ),
+            "denominator": {"ss": _frac_json(plan.ss_den), "df": plan.nu_den},
             "tests": [_entry_json(t, cfg, res) for t, res in entries],
             "skipped": [{"type": t, "reason": r} for t, r in skipped],
         }
         sys.stdout.write(json.dumps(doc, indent=2) + "\n")
     else:
-        sys.stdout.write(_render_table(cfg, layout, entries, skipped))
+        sys.stdout.write(_render_table(cfg, plan, entries, skipped))
     return 0
 
 
@@ -357,11 +337,7 @@ def _adhoc_dominance(path: str) -> list["verify_mod.Check"]:
     from a JSON file {"X": rows, "H": rows, "L": rows}."""
     from .dominance import check_dominance
 
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read matrices file {path!r}: {exc}") from None
+    data = _read_input(path, json.loads)
     missing = [k for k in ("X", "H", "L") if k not in data]
     if missing:
         raise InputError(f"matrices file must define X, H, L; missing {missing}")

@@ -7,12 +7,18 @@ columns of N span the orthogonal complement of sp(G).  That quadratic
 form tests exactly the estimable part of the hypothesis,
 sp(X') intersect sp(G), with no tolerance anywhere: all of this module
 is exact rational arithmetic.  Floats appear only in p-values.
+
+The two-factor type 1/2/3 SS take the cell route instead: an
+`AnovaPlan` aggregates the response into cell totals once, and every
+SS type of that response reads them, with no n x n matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from operator import mul
 from typing import Sequence
 
 from . import fdist
@@ -35,6 +41,7 @@ from .exactlin import (
 )
 
 __all__ = [
+    "AnovaPlan",
     "LinearModel",
     "HypothesisSpec",
     "ParamPoint",
@@ -233,6 +240,72 @@ def _cell_fit(effects: frozenset[EffectId], layout: CellLayout,
     return weighted_fit(effect_model_matrix(effects, layout.dims, scheme), layout.counts)
 
 
+class AnovaPlan:
+    """What every SS of one layout and response shares, built once: the
+    counts D = K'K, the cell totals t = K'y, and the denominator, the
+    saturated-model residual sum(y^2) - sum(t_c^2/n_c) on
+    n - (number of nonempty cells) df, from integer sums over the
+    response's common denominator.  The projector P_m of a report model
+    m is built on first use and shared by every SS reported in m."""
+
+    def __init__(self, layout: CellLayout, y: Sequence[Fraction | int | str],
+                 scheme: ContrastScheme | None = None):
+        if len(y) != layout.n:
+            raise ValueError(f"need {layout.n} responses, got {len(y)}")
+        rows, den = column_vector(y).int_rows()
+        ys = [v for (v,) in rows]
+        cells = iter(ys)
+        totals = [sum(islice(cells, nc)) for nc in layout.counts]
+        fitted = sum(Fraction(tc * tc, nc) for tc, nc in zip(totals, layout.counts) if nc)
+        self.ss_den = (sum(map(mul, ys, ys)) - fitted) / (den * den)
+        self.nu_den = layout.n - sum(1 for nc in layout.counts if nc)
+        self.totals = RatMatrix([[tc] for tc in totals], den)
+        self.d = RatMatrix.diagonal(layout.counts)
+        self.layout = layout
+        self.scheme = scheme
+        self._report_projectors: dict[frozenset[EffectId], RatMatrix] = {}
+
+    def ss(self, t: int, effect: EffectId, *,
+           report_set: frozenset[EffectId] | None = None) -> TestResult:
+        """Type-t SS for one effect of a two-factor layout: t'(A_f - A_r)t,
+        with A = M(M'DM)^-M' for the full and the reduced model.  Its
+        testing target sp(P_m D(A_f - A_r)D) equals testing_target(m, K,
+        type_numerator(...)) because sp(B K') = sp(B K'K); `report_set`
+        picks m (default: the SS's own model)."""
+        model_set = type_model_set(t, effect)
+        if effect not in model_set:
+            raise ValueError(f"effect {effect} is not in the type-{t} model")
+        a_full, rank_full = _cell_fit(model_set, self.layout, self.scheme)
+        a_rest, rank_rest = _cell_fit(model_set - {effect}, self.layout, self.scheme)
+        d = self.d
+        # P_f P_r = P_r in observation space, written as D A_f D A_r D = D A_r D
+        dad_rest = d @ a_rest @ d
+        if d @ a_full @ dad_rest != dad_rest:
+            raise ValueError("projector difference requires nested ranges")
+        a_num = a_full - a_rest
+        ss_num = (self.totals.transpose() @ a_num @ self.totals).entry(0, 0)
+        nu_num = rank_full - rank_rest
+        f_value: Fraction | None = None
+        p: float | None = None
+        if nu_num > 0 and self.nu_den > 0 and self.ss_den > 0:
+            f_value = (ss_num / nu_num) / (self.ss_den / self.nu_den)
+            p = fdist.p_value_from(float(f_value), nu_num, self.nu_den)
+        report = report_set if report_set is not None else model_set
+        if report not in self._report_projectors:
+            m = effect_model_matrix(report, self.layout.dims, self.scheme)
+            self._report_projectors[report] = projector(m).matrix
+        target = (self._report_projectors[report] @ d @ a_num @ d).colspace
+        return TestResult(
+            ss_num=ss_num,
+            nu_num=nu_num,
+            ss_den=self.ss_den,
+            nu_den=self.nu_den,
+            f_value=f_value,
+            estimable_part=target,
+            p_value=p,
+        )
+
+
 def type_ss(
     t: int,
     effect: EffectId,
@@ -242,59 +315,9 @@ def type_ss(
     *,
     report_set: frozenset[EffectId] | None = None,
 ) -> TestResult:
-    """Type-t sum of squares for one effect of a two-factor layout.
-
-    Computed in cell space from the cell totals t = K'y, the counts
-    D = K'K and the raw sum of squares: with A = M(M'DM)^-M' for the
-    full and the reduced model, the numerator is t'(A_f - A_r)t, and
-    the denominator is the saturated-model residual
-    sum(y^2) - sum(t_c^2/n_c) on n - (number of nonempty cells) degrees
-    of freedom.  The testing target is sp(P_m D(A_f - A_r)D), equal to
-    testing_target(m, K, type_numerator(...)) because sp(B K') = sp(B K'K).
-    `report_set` picks the model m in which the target is reported
-    (default: the SS's own model).
-    """
-    model_set = type_model_set(t, effect)
-    if effect not in model_set:
-        raise ValueError(f"effect {effect} is not in the type-{t} model")
-    yv = [Fraction(v) for v in y]
-    if len(yv) != layout.n:
-        raise ValueError(f"need {layout.n} responses, got {len(yv)}")
-    counts = layout.counts
-    totals: list[Fraction] = []
-    start = 0
-    for nc in counts:
-        totals.append(sum(yv[start : start + nc], Fraction(0)))
-        start += nc
-    a_full, rank_full = _cell_fit(model_set, layout, scheme)
-    a_rest, rank_rest = _cell_fit(model_set - {effect}, layout, scheme)
-    d = RatMatrix.diagonal(counts)
-    # P_f P_r = P_r in observation space, written as D A_f D A_r D = D A_r D
-    dad_rest = d @ a_rest @ d
-    if d @ a_full @ dad_rest != dad_rest:
-        raise ValueError("projector difference requires nested ranges")
-    a_num = a_full - a_rest
-    ss_num = quad_form(totals, a_num)
-    nu_num = rank_full - rank_rest
-    ss_den = sum(v * v for v in yv) - sum(tc * tc / nc for tc, nc in zip(totals, counts) if nc)
-    nu_den = layout.n - sum(1 for nc in counts if nc)
-    f_value: Fraction | None = None
-    p: float | None = None
-    if nu_num > 0 and nu_den > 0 and ss_den > 0:
-        f_value = (ss_num / nu_num) / (ss_den / nu_den)
-        p = fdist.p_value_from(float(f_value), nu_num, nu_den)
-    target_set = report_set if report_set is not None else model_set
-    m = effect_model_matrix(target_set, layout.dims, scheme)
-    target = (projector(m).matrix @ d @ a_num @ d).colspace
-    return TestResult(
-        ss_num=ss_num,
-        nu_num=nu_num,
-        ss_den=ss_den,
-        nu_den=nu_den,
-        f_value=f_value,
-        estimable_part=target,
-        p_value=p,
-    )
+    """One type-t sum of squares: `AnovaPlan.ss` on a plan of its own.
+    A caller wanting several SS of one response builds the plan once."""
+    return AnovaPlan(layout, y, scheme).ss(t, effect, report_set=report_set)
 
 
 def ncp(p: Projector, model: LinearModel, point: ParamPoint) -> Fraction:

@@ -14,7 +14,6 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from exanova import fdist
 from exanova.effects import (
@@ -22,10 +21,8 @@ from exanova.effects import (
     EffectId,
     all_effects,
     h_projector,
-    incidence,
     u_matrix,
 )
-from exanova.exactlin import RatMatrix
 from exanova.hypotest import type_model_set, type_numerator, type_ss
 from exanova.reference import builtin_layout
 from exanova.verify import (

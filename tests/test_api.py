@@ -1,6 +1,8 @@
 """Guards on the public names: the package exports, the functions the
-benchmark's tracer wraps, and the README's library example."""
+benchmark's tracer wraps, and the README's library example; and a guard
+against module-level imports nothing uses."""
 
+import ast
 import contextlib
 import importlib
 import importlib.util
@@ -53,3 +55,24 @@ def test_readme_library_example_runs():
     with contextlib.redirect_stdout(out):
         exec(compile(code, "README.md", "exec"), {})
     assert out.getvalue().splitlines()[1] == "1"
+
+
+def test_no_unused_module_imports():
+    paths = sorted([*(ROOT / "src" / "exanova").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+    unused = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            targets = getattr(node, "targets", [])
+            if any(getattr(t, "id", None) == "__all__" for t in targets):
+                used |= set(ast.literal_eval(node.value))
+        for node in tree.body:
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []

@@ -9,8 +9,8 @@ from fractions import Fraction
 
 import pytest
 
+from exanova import hypotest
 from exanova.cli import (
-    Dataset,
     InputError,
     main,
     parse_dataset,
@@ -77,11 +77,17 @@ class TestParsing:
             parse_dataset("A,B,y\n1,1,1\n1,2,1\n,2,1\n")
 
     def test_layout_built_in_cell_order(self):
-        ds = parse_dataset("A,B,y\n2,1,20\n1,1,10\n1,2,11\n2,2,21\n")
-        layout, y = ds.layout_and_response()
-        assert layout.dims == (2, 2)
-        assert layout.counts == (1, 1, 1, 1)
-        assert y == [F(10), F(11), F(20), F(21)]
+        cases = [
+            ("2,1,20\n1,1,10\n1,2,11\n2,2,21\n", (1, 1, 1, 1), [10, 11, 20, 21]),
+            # replicates keep file order within their cell
+            ("2,2,23\n1,1,12\n2,1,20\n1,1,10\n2,2,21\n1,2,11\n1,1,11\n2,2,22\n",
+             (3, 1, 1, 3), [12, 10, 11, 11, 20, 23, 21, 22]),
+        ]
+        for rows, counts, expected in cases:
+            layout, y = parse_dataset("A,B,y\n" + rows).layout_and_response()
+            assert layout.dims == (2, 2)
+            assert layout.counts == counts
+            assert y == [F(v) for v in expected]
 
     def test_empty_cells_accepted(self):
         ds = parse_dataset(EMPTY_CELL_CSV)
@@ -213,6 +219,37 @@ class TestAnovaCommand:
         assert out == ""
         assert capsys.readouterr().err == f"error: {str(data)!r} is not UTF-8 text\n"
 
+    def test_non_utf8_contrast_file_rejected(self, tmp_path, capsys):
+        data = tmp_path / "balanced.csv"
+        data.write_text(BALANCED_CSV)
+        contrasts = tmp_path / "utf16.json"
+        contrasts.write_bytes(b"\xff\xfe[]")
+        code, out = run_cli(["anova", "--data", str(data), "--contrasts", str(contrasts)])
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err == f"error: {str(contrasts)!r} is not UTF-8 text\n"
+
+    def test_all_types_share_one_plan(self, tmp_path, monkeypatch):
+        calls = {"projector": 0, "column_vector": 0}
+
+        def counted(name):
+            original = getattr(hypotest, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(hypotest, name, counted(name))
+        data = tmp_path / "gap.csv"
+        data.write_text(EMPTY_CELL_CSV)
+        code, out = run_cli(["anova", "--data", str(data), "--effect", "A", "--type", "all"])
+        assert code == 0
+        assert out.count("testing target") == 3
+        # the report-model projector and the exact response are built once per call
+        assert calls == {"projector": 1, "column_vector": 1}
+
 
 class TestVerifyCommand:
     def test_table1_passes(self):
@@ -263,6 +300,14 @@ class TestVerifyCommand:
         code, out = run_cli(["verify", "dominance", "--matrices", str(mats)])
         assert code == 0
         assert "4/4 checks passed" in out
+
+    def test_non_utf8_matrices_file_rejected(self, tmp_path, capsys):
+        mats = tmp_path / "utf16.json"
+        mats.write_bytes(b"\xff\xfe{}")
+        code, out = run_cli(["verify", "dominance", "--matrices", str(mats)])
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err == f"error: {str(mats)!r} is not UTF-8 text\n"
 
     def test_adhoc_dominance_precondition_error(self, tmp_path):
         mats = tmp_path / "bad.json"

@@ -10,7 +10,6 @@ from exanova.effects import (
     ContrastScheme,
     EffectId,
     all_effects,
-    c_block,
     effect_model_matrix,
     h_projector,
     helmert_contrast,
