@@ -5,10 +5,12 @@ from fitting the restricted model; it tests exactly the estimable part
 of the hypothesis, and no competing numerator does better.  Everything
 up to p-values is exact rational arithmetic.
 
-The observation-space oracle (`effects.incidence`, `effects.model_matrix`,
-`hypotest.type_numerator`, `hypotest.testing_target`) is not exported
-here: `type_ss` works in cell space, and the oracle serves `verify` and
-the tests from its own modules.
+The general hypothesis route takes the paper's design matrix X and
+hypothesis matrix G as plain `RatMatrix` arguments: `rmfm_projector(x, g)`
+and `estimable_part(x, g)`.  The rest of the observation-space oracle
+(`effects.incidence`, `hypotest.type_numerator`,
+`hypotest.testing_target`) is not exported here: `type_ss` works in cell
+space, and the oracle serves `verify` and the tests from its own modules.
 """
 
 from .dominance import DominanceReport, check_dominance
@@ -18,7 +20,6 @@ from .effects import (
     EffectId,
     all_effects,
     c_block,
-    contrast_matrix,
     effect_model_matrix,
     h_projector,
     s_matrix,
@@ -36,17 +37,10 @@ from .exactlin import (
 )
 from .fdist import FParams, f_cdf, f_quantile, power
 from .hypotest import (
-    HypothesisSpec,
-    LinearModel,
-    ParamPoint,
     TestResult,
-    adjust_rhs,
     estimable_part,
-    f_statistic,
-    ncp,
     restriction_nullbasis,
     rmfm_projector,
-    rmfm_ss,
     sse,
     type_ss,
 )
@@ -70,22 +64,14 @@ __all__ = [
     "u_matrix",
     "s_matrix",
     "h_projector",
-    "contrast_matrix",
     "c_block",
     "effect_model_matrix",
-    "LinearModel",
-    "HypothesisSpec",
-    "ParamPoint",
     "TestResult",
     "restriction_nullbasis",
     "rmfm_projector",
-    "rmfm_ss",
     "sse",
     "estimable_part",
     "type_ss",
-    "ncp",
-    "f_statistic",
-    "adjust_rhs",
     "DominanceReport",
     "check_dominance",
     "FParams",

@@ -21,7 +21,7 @@ from .exactlin import RatMatrix, primitive_columns
 from .hypotest import AnovaPlan, TestResult, type_model_set
 from . import verify as verify_mod
 
-__all__ = ["Dataset", "RunConfig", "parse_dataset", "serialize_dataset", "main"]
+__all__ = ["Dataset", "RunConfig", "parse_dataset", "main"]
 
 EFFECT_LABELS = {"A": (1, 0), "B": (0, 1), "AB": (1, 1)}
 MODEL_PRESETS = {
@@ -29,6 +29,10 @@ MODEL_PRESETS = {
     "additive": ("00", "10", "01"),
     "saturated": ("00", "10", "01", "11"),
 }
+# a response literal longer than this, or with a decimal exponent larger
+# in magnitude, is refused before Fraction builds its integers
+MAX_RESPONSE_CHARS = 100
+MAX_RESPONSE_EXPONENT = 100
 
 
 class InputError(Exception):
@@ -76,10 +80,28 @@ def _is_int(s: str) -> bool:
     return True
 
 
+def _parse_response(text: str, lineno: int) -> Fraction:
+    if len(text) > MAX_RESPONSE_CHARS:
+        raise InputError(
+            f"line {lineno}: response has {len(text)} characters, more than {MAX_RESPONSE_CHARS}"
+        )
+    _, e, exponent = text.lower().partition("e")
+    if e and _is_int(exponent) and abs(int(exponent)) > MAX_RESPONSE_EXPONENT:
+        raise InputError(
+            f"line {lineno}: response {text!r} has a decimal exponent beyond "
+            f"±{MAX_RESPONSE_EXPONENT}"
+        )
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"line {lineno}: cannot parse response {text!r} exactly") from None
+
+
 def parse_dataset(text: str) -> Dataset:
     """Parse a headered CSV with one `y` column; all other columns are
     factors, in file order.  Responses are parsed exactly ("1.25" becomes
-    5/4); malformed rows are rejected with their line number."""
+    5/4); malformed rows, and responses past MAX_RESPONSE_CHARS or
+    MAX_RESPONSE_EXPONENT, are rejected with their line number."""
     import csv as _csv
 
     rows = list(_csv.reader(text.splitlines()))
@@ -104,25 +126,11 @@ def parse_dataset(text: str) -> Dataset:
         labs = tuple(c.strip() for i, c in enumerate(row) if i != y_pos)
         if any(not lab for lab in labs):
             raise InputError(f"line {lineno}: empty factor label")
-        try:
-            y = Fraction(row[y_pos].strip())
-        except (ValueError, ZeroDivisionError):
-            raise InputError(
-                f"line {lineno}: cannot parse response {row[y_pos].strip()!r} exactly"
-            ) from None
         labels.append(labs)
-        response.append(y)
+        response.append(_parse_response(row[y_pos].strip(), lineno))
     if not labels:
         raise InputError("no observation rows")
     return Dataset(factor_names, tuple(labels), tuple(response))
-
-
-def serialize_dataset(ds: Dataset) -> str:
-    """Inverse of parse_dataset: responses rendered as exact fractions."""
-    lines = [",".join(ds.factor_names + ("y",))]
-    for labs, y in zip(ds.labels, ds.response):
-        lines.append(",".join(labs + (str(y),)))
-    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -311,21 +319,23 @@ def cmd_anova(args: argparse.Namespace) -> int:
                     continue
                 raise InputError(reason)
             entries.append((t, plan.ss(t, effect, report_set=model_set)))
-    except (InputError, ValueError) as exc:
+        if args.output == "json":
+            doc = {
+                "layout": {"dims": list(layout.dims), "counts": layout.grid(), "n": layout.n},
+                "model": cfg.model_label,
+                "effect": cfg.effect_label,
+                "denominator": {"ss": _frac_json(plan.ss_den), "df": plan.nu_den},
+                "tests": [_entry_json(t, cfg, res) for t, res in entries],
+                "skipped": [{"type": t, "reason": r} for t, r in skipped],
+            }
+            report = json.dumps(doc, indent=2) + "\n"
+        else:
+            report = _render_table(cfg, plan, entries, skipped)
+    # a value too large for a float, or too long for str(), fails here too
+    except (InputError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.output == "json":
-        doc = {
-            "layout": {"dims": list(layout.dims), "counts": layout.grid(), "n": layout.n},
-            "model": cfg.model_label,
-            "effect": cfg.effect_label,
-            "denominator": {"ss": _frac_json(plan.ss_den), "df": plan.nu_den},
-            "tests": [_entry_json(t, cfg, res) for t, res in entries],
-            "skipped": [{"type": t, "reason": r} for t, r in skipped],
-        }
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
-    else:
-        sys.stdout.write(_render_table(cfg, plan, entries, skipped))
+    sys.stdout.write(report)
     return 0
 
 
@@ -338,6 +348,10 @@ def _adhoc_dominance(path: str) -> list["verify_mod.Check"]:
     from .dominance import check_dominance
 
     data = _read_input(path, json.loads)
+    if not isinstance(data, dict):
+        raise InputError(
+            f"matrices file must hold a JSON object with X, H and L, not {type(data).__name__}"
+        )
     missing = [k for k in ("X", "H", "L") if k not in data]
     if missing:
         raise InputError(f"matrices file must define X, H, L; missing {missing}")
@@ -367,6 +381,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         if args.matrices and target not in ("prop2", "dominance"):
             raise InputError("--matrices only applies to the dominance (prop2) target")
+        if (args.dims is not None or args.factors is not None) and target not in ("prop3", "all"):
+            raise InputError("--dims and --factors only apply to the prop3 and all targets")
         if args.trials is not None and args.trials < 1:
             raise InputError(f"--trials must be at least 1, got {args.trials}")
         if target in ("table1", "all"):

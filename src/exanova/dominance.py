@@ -36,15 +36,6 @@ class DominanceReport:
     df_slack: int  # n - nu_X
     df_bounds_hold: bool
 
-    @property
-    def all_hold(self) -> bool:
-        return (
-            self.span_recovered
-            and self.containment
-            and self.nnd_holds
-            and self.df_bounds_hold
-        )
-
 
 def check_dominance(x: RatMatrix, h: RatMatrix, l: RatMatrix) -> DominanceReport:
     """Evaluate the four conclusions for a competing numerator matrix L.

@@ -27,11 +27,9 @@ __all__ = [
     "u_matrix",
     "s_matrix",
     "h_projector",
-    "contrast_matrix",
     "c_block",
     "effect_model_matrix",
     "incidence",
-    "model_matrix",
 ]
 
 
@@ -172,12 +170,6 @@ class ContrastScheme:
         return c
 
 
-def contrast_matrix(m: int, scheme: ContrastScheme | None = None, factor: int = 0) -> RatMatrix:
-    """Contrast columns spanning the complement of the ones vector in R^m."""
-    scheme = scheme or ContrastScheme.helmert()
-    return scheme.matrix_for(m, factor)
-
-
 def c_block(effect: EffectId, dims: Sequence[int], scheme: ContrastScheme | None = None) -> RatMatrix:
     """Model columns for one effect: Kronecker product of ones columns and
     per-factor contrast matrices.  Its projector equals h_projector(effect)."""
@@ -282,9 +274,3 @@ def incidence(layout: CellLayout) -> RatMatrix:
         rows.extend([tuple(row)] * count)
     return RatMatrix(rows)
 
-
-def model_matrix(
-    effects: Iterable[EffectId], layout: CellLayout, scheme: ContrastScheme | None = None
-) -> RatMatrix:
-    """Observation-space design matrix: incidence times the cell-mean model."""
-    return incidence(layout) @ effect_model_matrix(effects, layout.dims, scheme)

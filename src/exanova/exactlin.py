@@ -157,10 +157,6 @@ class RatMatrix:
     def column(self, j: int) -> "RatMatrix":
         return RatMatrix._of([(r[j],) for r in self._num], self._den)
 
-    def to_rows(self) -> list[list[Fraction]]:
-        d = self._den
-        return [[Fraction(v, d) for v in r] for r in self._num]
-
     def int_rows(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """The normalized (integer rows, denominator) pair."""
         return self._num, self._den
@@ -229,10 +225,6 @@ class RatMatrix:
         if self.ncols == 0:
             raise ValueError("cannot transpose a zero-column matrix (zero-row matrices are not supported)")
         return RatMatrix._of(list(zip(*self._num)), self._den, normalized=True)
-
-    @property
-    def T(self) -> "RatMatrix":
-        return self.transpose()
 
     def kron(self, other: "RatMatrix") -> "RatMatrix":
         num = [
@@ -476,10 +468,6 @@ class Projector:
     @classmethod
     def zero(cls, n: int) -> "Projector":
         return cls(RatMatrix.zeros(n, n), check=False)
-
-    @classmethod
-    def identity(cls, n: int) -> "Projector":
-        return cls(RatMatrix.identity(n), check=False)
 
     @property
     def ambient(self) -> int:

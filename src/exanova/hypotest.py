@@ -36,83 +36,22 @@ from .exactlin import (
     Subspace,
     column_vector,
     projector,
-    solve_linear,
     weighted_fit,
 )
 
 __all__ = [
     "AnovaPlan",
-    "LinearModel",
-    "HypothesisSpec",
-    "ParamPoint",
     "TestResult",
     "restriction_nullbasis",
     "rmfm_projector",
-    "rmfm_ss",
     "sse",
     "estimable_part",
     "testing_target",
     "type_model_set",
     "type_numerator",
     "type_ss",
-    "ncp",
-    "f_statistic",
-    "adjust_rhs",
     "quad_form",
 ]
-
-class LinearModel:
-    """A fixed design matrix with its cached projector and rank."""
-
-    def __init__(self, x: RatMatrix):
-        if x.ncols < 1:
-            raise ValueError("design matrix needs at least one column")
-        if x.is_zero:
-            raise ValueError("design matrix needs at least one nonzero entry")
-        self.x = x
-        self.projector = projector(x)
-        self.nu = self.projector.nu
-
-    @property
-    def n(self) -> int:
-        return self.x.nrows
-
-    @property
-    def ncoef(self) -> int:
-        return self.x.ncols
-
-    def __repr__(self) -> str:
-        return f"LinearModel(n={self.n}, coef={self.ncoef}, rank={self.nu})"
-
-
-class HypothesisSpec:
-    """The matrix G of a linear hypothesis G'beta = 0."""
-
-    def __init__(self, g: RatMatrix):
-        if g.ncols < 1:
-            raise ValueError("hypothesis matrix needs at least one column")
-        self.g = g
-
-    @property
-    def ncoef(self) -> int:
-        return self.g.nrows
-
-    def __repr__(self) -> str:
-        return f"HypothesisSpec({self.g.nrows}x{self.g.ncols})"
-
-
-@dataclass(frozen=True)
-class ParamPoint:
-    """A parameter point (beta, sigma^2) at which to evaluate noncentrality."""
-
-    beta: tuple[Fraction, ...]
-    sigma2: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "beta", tuple(Fraction(b) for b in self.beta))
-        object.__setattr__(self, "sigma2", Fraction(self.sigma2))
-        if self.sigma2 <= 0:
-            raise ValueError("sigma^2 must be positive")
 
 
 @dataclass
@@ -135,10 +74,18 @@ class TestResult:
     p_value: float | None = None
 
 
-def _check_pair(model: LinearModel, spec: HypothesisSpec) -> None:
-    if spec.ncoef != model.ncoef:
+def _check_pair(x: RatMatrix, g: RatMatrix) -> None:
+    """A design X with a column and a nonzero entry, and a hypothesis
+    matrix G with a column and one row per column of X."""
+    if x.ncols < 1:
+        raise ValueError("design matrix needs at least one column")
+    if x.is_zero:
+        raise ValueError("design matrix needs at least one nonzero entry")
+    if g.ncols < 1:
+        raise ValueError("hypothesis matrix needs at least one column")
+    if g.nrows != x.ncols:
         raise ValueError(
-            f"hypothesis has {spec.ncoef} coefficient rows, model has {model.ncoef} coefficients"
+            f"hypothesis has {g.nrows} coefficient rows, model has {x.ncols} coefficients"
         )
 
 
@@ -150,23 +97,17 @@ def quad_form(y: Sequence[Fraction | int | str], p: RatMatrix) -> Fraction:
     return (yv.transpose() @ p @ yv).entry(0, 0)
 
 
-def restriction_nullbasis(spec: HypothesisSpec) -> RatMatrix:
+def restriction_nullbasis(g: RatMatrix) -> RatMatrix:
     """Basis N of the orthogonal complement of sp(G); the restricted model
     {X b : G'b = 0} is then spanned by X N."""
-    return spec.g.colspace.complement().basis
+    return g.colspace.complement().basis
 
 
-def rmfm_projector(model: LinearModel, spec: HypothesisSpec) -> Projector:
+def rmfm_projector(x: RatMatrix, g: RatMatrix) -> Projector:
     """Projector of the restricted-minus-full extra SSE: P_X - P_XN."""
-    _check_pair(model, spec)
-    n_basis = restriction_nullbasis(spec)
-    restricted = projector(model.x @ n_basis)
-    return model.projector.minus(restricted)
-
-
-def rmfm_ss(y: Sequence[Fraction | int | str], model: LinearModel, spec: HypothesisSpec) -> Fraction:
-    """Extra sum of squares from imposing G'beta = 0 on the model."""
-    return quad_form(y, rmfm_projector(model, spec).matrix)
+    _check_pair(x, g)
+    restricted = projector(x @ restriction_nullbasis(g))
+    return projector(x).minus(restricted)
 
 
 def sse(y: Sequence[Fraction | int | str], x: RatMatrix) -> Fraction:
@@ -175,14 +116,14 @@ def sse(y: Sequence[Fraction | int | str], x: RatMatrix) -> Fraction:
     return quad_form(y, resid.matrix)
 
 
-def estimable_part(model: LinearModel, spec: HypothesisSpec) -> Subspace:
+def estimable_part(x: RatMatrix, g: RatMatrix) -> Subspace:
     """The testable portion of the hypothesis: sp(X') intersect sp(G).
 
     Proposition 1 says this is also sp(X' P_H) for the numerator
     projector P_H; `verify prop1` checks that identity.
     """
-    _check_pair(model, spec)
-    return model.x.transpose().colspace.intersect(spec.g.colspace)
+    _check_pair(x, g)
+    return x.transpose().colspace.intersect(g.colspace)
 
 
 def testing_target(m: RatMatrix, k: RatMatrix, p: Projector) -> Subspace:
@@ -319,64 +260,3 @@ def type_ss(
     A caller wanting several SS of one response builds the plan once."""
     return AnovaPlan(layout, y, scheme).ss(t, effect, report_set=report_set)
 
-
-def ncp(p: Projector, model: LinearModel, point: ParamPoint) -> Fraction:
-    """Noncentrality beta' X' P X beta / sigma^2 of the quadratic form."""
-    if len(point.beta) != model.ncoef:
-        raise ValueError("beta length must match the model's coefficient count")
-    if point.sigma2 <= 0:
-        raise ValueError("sigma^2 must be positive")
-    mu = model.x @ column_vector(point.beta)
-    return quad_form([mu.entry(i, 0) for i in range(mu.nrows)], p.matrix) / point.sigma2
-
-
-def f_statistic(
-    y: Sequence[Fraction | int | str], p: Projector, q: Projector
-) -> TestResult:
-    """Exact F statistic (SS_P/nu_P)/(SS_Q/nu_Q).
-
-    Requires P Q = 0; the caller must supply a denominator projector
-    orthogonal to the model space.  Raises when the statistic is
-    undefined (zero numerator df, or zero denominator SS).
-    """
-    if p.ambient != q.ambient:
-        raise ValueError("projectors act on different spaces")
-    if not (p.matrix @ q.matrix).is_zero:
-        raise ValueError("numerator and denominator projectors must be orthogonal")
-    if p.nu == 0:
-        raise ValueError("numerator has zero degrees of freedom; F is undefined")
-    ss_p = quad_form(y, p.matrix)
-    ss_q = quad_form(y, q.matrix)
-    if q.nu == 0 or ss_q == 0:
-        raise ValueError("denominator sum of squares is zero; F is undefined")
-    f_value = (ss_p / p.nu) / (ss_q / q.nu)
-    return TestResult(
-        ss_num=ss_p,
-        nu_num=p.nu,
-        ss_den=ss_q,
-        nu_den=q.nu,
-        f_value=f_value,
-        estimable_part=None,
-        p_value=fdist.p_value_from(float(f_value), p.nu, q.nu),
-    )
-
-
-def adjust_rhs(
-    y: Sequence[Fraction | int | str],
-    model: LinearModel,
-    spec: HypothesisSpec,
-    c0: Sequence[Fraction | int | str],
-) -> list[Fraction]:
-    """Shift the response so a nonzero right-hand side G'beta = c0 reduces
-    to the homogeneous case: returns y - X b0 for the minimum-norm b0
-    with G'b0 = c0.  Raises if no such b0 exists."""
-    _check_pair(model, spec)
-    c_vec = column_vector(c0)
-    if c_vec.nrows != spec.g.ncols:
-        raise ValueError("right-hand side length must match the hypothesis columns")
-    particular = solve_linear(spec.g.transpose(), c_vec)
-    if particular is None:
-        raise ValueError("inconsistent right-hand side: no b0 satisfies G'b0 = c0")
-    b0 = projector(spec.g).matrix @ column_vector(particular)
-    shifted = column_vector(y) - model.x @ b0
-    return [shifted.entry(i, 0) for i in range(shifted.nrows)]

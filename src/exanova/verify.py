@@ -32,8 +32,7 @@ from .exactlin import (
     solve_linear,
 )
 from .hypotest import (
-    HypothesisSpec,
-    LinearModel,
+    estimable_part,
     restriction_nullbasis,
     rmfm_projector,
     sse,
@@ -245,15 +244,12 @@ def verify_prop1(seed: int = DEFAULT_SEED, trials: int = 500) -> list[Check]:
     first_fail = ""
     for trial in range(trials):
         x, g = random_prop1_instance(rng)
-        model = LinearModel(x)
-        spec = HypothesisSpec(g)
-        p_h = rmfm_projector(model, spec)
+        p_h = rmfm_projector(x, g)
         if not (p_h.matrix.is_symmetric and p_h.matrix @ p_h.matrix == p_h.matrix):
             shape_ok = False
             first_fail = first_fail or f"trial {trial}: projector not idempotent"
-        xt = x.transpose()
-        left = (xt @ p_h.matrix).colspace
-        right = xt.colspace.intersect(g.colspace)
+        left = (x.transpose() @ p_h.matrix).colspace
+        right = estimable_part(x, g)
         if left != right:
             forward_ok = False
             first_fail = first_fail or f"trial {trial}: tested span mismatch"
@@ -262,9 +258,9 @@ def verify_prop1(seed: int = DEFAULT_SEED, trials: int = 500) -> list[Check]:
             reverse_ok = False
             first_fail = first_fail or f"trial {trial}: independent H gives a different projector"
         y = [
-            Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(model.n)
+            Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(x.nrows)
         ]
-        restricted = x @ restriction_nullbasis(spec)
+        restricted = x @ restriction_nullbasis(g)
         lhs = quad_form(y, p_h.matrix)
         if lhs != sse(y, restricted) - sse(y, x) or lhs < 0:
             ss_ok = False

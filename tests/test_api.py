@@ -1,6 +1,7 @@
 """Guards on the public names: the package exports, the functions the
-benchmark's tracer wraps, and the README's library example; and a guard
-against module-level imports nothing uses."""
+benchmark's tracer wraps, the README's library example, deleted names
+staying deleted and every export having a caller; and a guard against
+module-level imports nothing uses."""
 
 import ast
 import contextlib
@@ -45,6 +46,47 @@ def test_subspace_calculus_has_method_spelling_only():
     for name in ("colspace", "nullspace", "rank", "trace", "complement", "intersect", "subspace_sum"):
         assert not hasattr(exactlin, name)
         assert not hasattr(exanova, name)
+
+
+def test_names_without_a_caller_stay_deleted():
+    modules = {name: importlib.import_module(f"exanova.{name}")
+               for name in ("hypotest", "effects", "cli")}
+    deleted = {
+        "hypotest": ("LinearModel", "HypothesisSpec", "ParamPoint", "ncp", "f_statistic",
+                     "adjust_rhs", "rmfm_ss"),
+        "effects": ("contrast_matrix", "model_matrix"),
+        "cli": ("serialize_dataset",),
+    }
+    for modname, names in deleted.items():
+        for name in names:
+            assert not hasattr(modules[modname], name)
+            assert not hasattr(exanova, name)
+    assert not hasattr(exactlin.RatMatrix, "T")
+    assert not hasattr(exactlin.RatMatrix, "to_rows")
+    assert not hasattr(exactlin.Projector, "identity")
+    assert not hasattr(exanova.DominanceReport, "all_hold")
+
+
+def test_every_export_has_a_caller():
+    # a caller is a use in the package other than the name's definition,
+    # import or __all__ entry, or a use in README.md or exabench/*.py
+    used = set()
+    exports = [("exanova", name) for name in exanova.__all__]
+    for path in sorted((ROOT / "src" / "exanova").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+        for node in tree.body:
+            if any(getattr(t, "id", None) == "__all__" for t in getattr(node, "targets", [])):
+                exports += [(path.stem, name) for name in ast.literal_eval(node.value)]
+    texts = [ROOT / "README.md", *sorted((ROOT / "exabench").glob("*.py"))]
+    used |= {w for path in texts for w in re.findall(r"\w+", path.read_text(encoding="utf-8"))}
+    uncalled = [f"{mod}.{name}" for mod, name in exports
+                if name not in used and not name.startswith("__")]
+    assert uncalled == []
 
 
 def test_readme_library_example_runs():

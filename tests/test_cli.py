@@ -11,10 +11,10 @@ import pytest
 
 from exanova import hypotest
 from exanova.cli import (
+    Dataset,
     InputError,
     main,
     parse_dataset,
-    serialize_dataset,
 )
 
 F = Fraction
@@ -57,10 +57,13 @@ class TestParsing:
 
     def test_round_trip_is_identity(self):
         ds = parse_dataset(BALANCED_CSV)
-        again = parse_dataset(serialize_dataset(ds))
-        assert again == ds
-        # and a second round trip is byte-identical
-        assert serialize_dataset(again) == serialize_dataset(ds)
+        labels = ((("1", "1"),) * 2 + (("2", "1"),) * 2 + (("1", "2"),) * 2
+                  + (("2", "2"),) * 2)
+        response = (F(1), F(3, 2), F(2), F(9, 4), F(3), F(7, 2), F(4), F(19, 4))
+        assert ds == Dataset(("A", "B"), labels, response)
+        # the exact fraction rendering of every response parses back to it
+        rows = "".join(f"{a},{b},{y}\n" for (a, b), y in zip(labels, response))
+        assert parse_dataset("A,B,y\n" + rows) == ds
 
     def test_header_requires_single_y(self):
         with pytest.raises(InputError, match="'y'"):
@@ -75,6 +78,14 @@ class TestParsing:
             parse_dataset("A,B,y\n1,1,abc\n")
         with pytest.raises(InputError, match="line 4"):
             parse_dataset("A,B,y\n1,1,1\n1,2,1\n,2,1\n")
+
+    def test_response_past_bound_rejected(self):
+        # refused before Fraction would build a billion-digit integer
+        with pytest.raises(InputError, match="line 3: .* decimal exponent beyond ±100"):
+            parse_dataset("A,B,y\n1,1,2\n1,1,1e999999999\n")
+        with pytest.raises(InputError, match="line 2: response has 101 characters"):
+            parse_dataset("A,B,y\n1,1," + "1" * 101 + "\n")
+        assert parse_dataset("A,B,y\n1,1,-1e-100\n").response == (F(-1, 10**100),)
 
     def test_layout_built_in_cell_order(self):
         cases = [
@@ -229,6 +240,29 @@ class TestAnovaCommand:
         assert out == ""
         assert capsys.readouterr().err == f"error: {str(contrasts)!r} is not UTF-8 text\n"
 
+    @pytest.mark.parametrize("output", ["table", "json"])
+    def test_huge_exponent_response_rejected(self, tmp_path, output, capsys):
+        data = tmp_path / "big.csv"
+        data.write_text("A,B,y\n1,1,1e5000\n1,2,1\n2,1,2\n2,2,3\n1,1,2\n")
+        code, out = run_cli(["anova", "--data", str(data), "--output", output])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err.startswith("error: line 2: response '1e5000'")
+
+    @pytest.mark.parametrize("output", ["table", "json"])
+    @pytest.mark.parametrize("rows", [
+        # F near 1e360 overflows a float
+        "1,1,0\n1,1,1e-90\n1,2,1e90\n2,1,1e90\n2,1,1e90\n2,2,0\n2,2,0\n",
+        # 48 distinct 98-digit denominators: the exact SS passes str()'s
+        # 4300-digit limit
+        "".join(f"{1 + i % 2},{1 + i // 2 % 2},1/{10**97 + i}\n" for i in range(48)),
+    ], ids=["float-overflow", "digit-limit"])
+    def test_unrepresentable_result_fails_cleanly(self, tmp_path, rows, output, capsys):
+        data = tmp_path / "wide.csv"
+        data.write_text("A,B,y\n" + rows)
+        code, out = run_cli(["anova", "--data", str(data), "--output", output])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_all_types_share_one_plan(self, tmp_path, monkeypatch):
         calls = {"projector": 0, "column_vector": 0}
 
@@ -286,6 +320,11 @@ class TestVerifyCommand:
         assert out == ""
         assert f"error: --trials must be at least 1, got {trials}" in capsys.readouterr().err
 
+    def test_dims_and_factors_need_prop3(self, capsys):
+        code, out = run_cli(["verify", "fdist", "--dims", "banana", "--factors", "7"])
+        assert (code, out) == (2, "")
+        assert "error: --dims and --factors only apply to the prop3" in capsys.readouterr().err
+
     def test_dims_factor_mismatch(self):
         code, _ = run_cli(["verify", "prop3", "--factors", "2", "--dims", "2,3,2"])
         assert code == 2
@@ -300,6 +339,15 @@ class TestVerifyCommand:
         code, out = run_cli(["verify", "dominance", "--matrices", str(mats)])
         assert code == 0
         assert "4/4 checks passed" in out
+
+    @pytest.mark.parametrize("content", ["5", "[1, 2]", '"XHL"'])
+    def test_matrices_file_must_hold_object(self, tmp_path, content, capsys):
+        mats = tmp_path / "xhl.json"
+        mats.write_text(content)
+        code, out = run_cli(["verify", "dominance", "--matrices", str(mats)])
+        assert (code, out) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: matrices file must hold a JSON object with X, H and L")
 
     def test_non_utf8_matrices_file_rejected(self, tmp_path, capsys):
         mats = tmp_path / "utf16.json"

@@ -7,6 +7,12 @@ import pytest
 from exanova.dominance import auxiliary_projector, check_dominance
 from exanova.exactlin import RatMatrix, is_nnd
 
+
+def all_hold(rpt):
+    """The four conclusions of the dominance proposition."""
+    return rpt.span_recovered and rpt.containment and rpt.nnd_holds and rpt.df_bounds_hold
+
+
 def random_matrix(rng, nrows, ncols, max_rank=None):
     if max_rank is None:
         return RatMatrix.from_rows(
@@ -44,7 +50,7 @@ class TestCheckDominance:
         x = RatMatrix.from_rows([[1, 0], [0, 1], [1, 1]])
         h = x.column(0)
         rpt = check_dominance(x, h, h)
-        assert rpt.all_hold
+        assert all_hold(rpt)
         assert rpt.nu_l == rpt.nu_h == 1
         diff = x.transpose() @ (
             RatMatrix.zeros(3, 3)
@@ -59,7 +65,7 @@ class TestCheckDominance:
         assert z.ncols > 0
         l = RatMatrix.hstack(h, z)
         rpt = check_dominance(x, h, l)
-        assert rpt.all_hold
+        assert all_hold(rpt)
         assert rpt.nu_l > rpt.nu_h
 
     def test_precondition_span_violation_raises(self):
@@ -80,7 +86,7 @@ class TestCheckDominance:
         for _ in range(40):
             x, h, l = dominance_instance(rng)
             rpt = check_dominance(x, h, l)
-            assert rpt.all_hold
+            assert all_hold(rpt)
             q = auxiliary_projector(x, h, l)
             assert q.is_symmetric
             assert q @ q == q

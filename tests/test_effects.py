@@ -12,12 +12,10 @@ from exanova.effects import (
     all_effects,
     c_block,
     canonical_order,
-    contrast_matrix,
     effect_model_matrix,
     h_projector,
     helmert_contrast,
     incidence,
-    model_matrix,
     s_matrix,
     u_matrix,
 )
@@ -127,11 +125,11 @@ class TestContrasts:
         assert helmert_contrast(2) == RatMatrix.from_rows([[1], [-1]])
 
     def test_projector_is_centering(self):
-        assert projector(contrast_matrix(4)) == s_matrix(4)
+        assert projector(helmert_contrast(4)) == s_matrix(4)
 
     def test_minimum_levels(self):
         with pytest.raises(ValueError):
-            contrast_matrix(1)
+            helmert_contrast(1)
 
     def test_user_scheme_validation(self):
         with pytest.raises(ValueError):
@@ -250,19 +248,19 @@ class TestLayoutsAndIncidence:
         assert incidence(layout) == RatMatrix.identity(4).kron(RatMatrix.ones(2))
 
     def test_model_matrix_saturated_spans_incidence(self):
-        m = model_matrix(all_effects(2), N0)
         k = incidence(N0)
+        m = k @ effect_model_matrix(all_effects(2), N0.dims)
         assert m.colspace == k.colspace
         assert m.colspace.dim == 9
 
     def test_model_matrix_grand_mean_is_ones(self):
-        m = model_matrix([EffectId.parse("00")], N1)
+        m = incidence(N1) @ effect_model_matrix([EffectId.parse("00")], N1.dims)
         assert m.colspace == RatMatrix.ones(28).colspace
 
     def test_balanced_model_projector_is_kron(self):
         layout = CellLayout.from_grid([[3, 3], [3, 3]])
         effs = [EffectId.parse(s) for s in ("00", "10")]
-        p = projector(model_matrix(effs, layout))
+        p = projector(incidence(layout) @ effect_model_matrix(effs, layout.dims))
         hsum = (
             h_projector(EffectId.parse("00"), (2, 2)).matrix
             + h_projector(EffectId.parse("10"), (2, 2)).matrix

@@ -24,17 +24,10 @@ from exanova.exactlin import (
     projector,
 )
 from exanova.hypotest import (
-    HypothesisSpec,
-    LinearModel,
-    ParamPoint,
-    adjust_rhs,
     estimable_part,
-    f_statistic,
-    ncp,
     quad_form,
     restriction_nullbasis,
     rmfm_projector,
-    rmfm_ss,
     sse,
     testing_target as target_of,
     type_model_set,
@@ -64,22 +57,20 @@ def random_model(rng, max_n=8, max_coef=5):
         k = rng.randint(1, max_coef)
         x = random_matrix(rng, n, k, max_rank=rng.choice([None, 1, 2]))
         if not x.is_zero:
-            return LinearModel(x)
+            return x
 
 
 class TestRestrictionNullbasis:
     def test_full_hypothesis_kills_model(self):
-        spec = HypothesisSpec(RatMatrix.identity(3))
-        assert restriction_nullbasis(spec).ncols == 0
+        assert restriction_nullbasis(RatMatrix.identity(3)).ncols == 0
 
     def test_zero_hypothesis_is_vacuous(self):
-        spec = HypothesisSpec(RatMatrix.zeros(3, 2))
-        n = restriction_nullbasis(spec)
+        n = restriction_nullbasis(RatMatrix.zeros(3, 2))
         assert n.colspace == Subspace.full(3)
 
     def test_single_coordinate(self):
         e2 = column_vector([0, 1, 0])
-        n = restriction_nullbasis(HypothesisSpec(e2))
+        n = restriction_nullbasis(e2)
         e = RatMatrix.identity(3)
         assert n.colspace == RatMatrix.hstack(e.column(0), e.column(2)).colspace
 
@@ -87,9 +78,20 @@ class TestRestrictionNullbasis:
 class TestRmfmProjector:
     def test_vacuous_restriction_gives_zero(self):
         rng = random.Random(12)
-        model = random_model(rng)
-        spec = HypothesisSpec(RatMatrix.zeros(model.ncoef, 1))
-        assert rmfm_projector(model, spec) == Projector.zero(model.n)
+        x = random_model(rng)
+        assert rmfm_projector(x, RatMatrix.zeros(x.ncols, 1)) == Projector.zero(x.nrows)
+
+    @pytest.mark.parametrize("x, g, message", [
+        (RatMatrix.zeros(2, 0), RatMatrix.identity(1), "design matrix needs at least one column"),
+        (RatMatrix.zeros(2, 2), RatMatrix.identity(2), "design matrix needs at least one nonzero entry"),
+        (RatMatrix.identity(2), RatMatrix.zeros(2, 0), "hypothesis matrix needs at least one column"),
+        (RatMatrix.identity(2), RatMatrix.identity(3),
+         "hypothesis has 3 coefficient rows, model has 2 coefficients"),
+    ])
+    def test_pair_checked(self, x, g, message):
+        for route in (rmfm_projector, estimable_part):
+            with pytest.raises(ValueError, match=message):
+                route(x, g)
 
     def test_column_selector_matches_column_omission(self):
         # dropping the A-effect columns equals restricting with a
@@ -97,11 +99,10 @@ class TestRmfmProjector:
         layout = builtin_layout("n0")
         k = incidence(layout)
         x = k @ effect_model_matrix(all_effects(2), layout.dims)
-        model = LinearModel(x)
         e = RatMatrix.identity(x.ncols)
         # canonical order is 00, 10, 01, 11 with widths 1, 2, 2, 4
         selector = RatMatrix.hstack(e.column(1), e.column(2))
-        got = rmfm_projector(model, HypothesisSpec(selector))
+        got = rmfm_projector(x, selector)
         want = type_numerator(3, A_EFFECT, layout)
         assert got == want
 
@@ -109,44 +110,45 @@ class TestRmfmProjector:
         layout = CellLayout.from_grid([[2, 2], [2, 2]])
         k = incidence(layout)
         x = k @ effect_model_matrix(all_effects(2), layout.dims)
-        model = LinearModel(x)
         e = RatMatrix.identity(4)
-        got = rmfm_projector(model, HypothesisSpec(e.column(1)))
+        got = rmfm_projector(x, e.column(1))
         want = h_projector(A_EFFECT, (2, 2)).matrix.kron(u_matrix(2).matrix)
         assert got.matrix == want
 
     def test_projector_is_symmetric_idempotent(self):
         rng = random.Random(5)
         for _ in range(25):
-            model = random_model(rng)
-            g = random_matrix(rng, model.ncoef, rng.randint(1, 3))
-            p = rmfm_projector(model, HypothesisSpec(g))
+            x = random_model(rng)
+            g = random_matrix(rng, x.ncols, rng.randint(1, 3))
+            p = rmfm_projector(x, g)
             assert p.matrix.is_symmetric
             assert p.matrix @ p.matrix == p.matrix
+
+
+def rmfm_ss(y, x, g):
+    """The extra SSE: the quadratic form of the numerator projector."""
+    return quad_form(y, rmfm_projector(x, g).matrix)
 
 
 class TestRmfmSs:
     def test_zero_when_response_fits_restricted_model(self):
         rng = random.Random(77)
         for _ in range(20):
-            model = random_model(rng)
-            g = random_matrix(rng, model.ncoef, rng.randint(1, 2))
-            spec = HypothesisSpec(g)
-            n_basis = restriction_nullbasis(spec)
+            x = random_model(rng)
+            g = random_matrix(rng, x.ncols, rng.randint(1, 2))
+            n_basis = restriction_nullbasis(g)
             coeffs = column_vector([rng.randint(-2, 2) for _ in range(n_basis.ncols)]) \
                 if n_basis.ncols else None
             if coeffs is None:
                 continue
-            y_col = model.x @ n_basis @ coeffs
-            y = [y_col.entry(i, 0) for i in range(model.n)]
-            assert rmfm_ss(y, model, spec) == 0
+            y_col = x @ n_basis @ coeffs
+            y = [y_col.entry(i, 0) for i in range(x.nrows)]
+            assert rmfm_ss(y, x, g) == 0
 
     def test_zero_when_response_orthogonal_to_model(self):
         x = RatMatrix.from_rows([[1, 0], [1, 0], [0, 1]])
-        model = LinearModel(x)
-        spec = HypothesisSpec(RatMatrix.identity(2))
         y = [1, -1, 0]  # orthogonal to both columns
-        assert rmfm_ss(y, model, spec) == 0
+        assert rmfm_ss(y, x, RatMatrix.identity(2)) == 0
 
     def test_balanced_cell_mean_closed_form(self):
         layout = CellLayout.from_grid([[2, 2], [2, 2]])
@@ -158,29 +160,26 @@ class TestRmfmSs:
     def test_equals_sse_difference(self):
         rng = random.Random(31)
         for _ in range(25):
-            model = random_model(rng)
-            g = random_matrix(rng, model.ncoef, rng.randint(1, 3))
-            spec = HypothesisSpec(g)
-            y = [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(model.n)]
-            restricted = model.x @ restriction_nullbasis(spec)
-            direct = rmfm_ss(y, model, spec)
-            assert direct == sse(y, restricted) - sse(y, model.x)
+            x = random_model(rng)
+            g = random_matrix(rng, x.ncols, rng.randint(1, 3))
+            y = [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(x.nrows)]
+            restricted = x @ restriction_nullbasis(g)
+            direct = rmfm_ss(y, x, g)
+            assert direct == sse(y, restricted) - sse(y, x)
             assert direct >= 0
 
 
 class TestEstimablePart:
     def test_full_rank_model_everything_estimable(self):
         x = RatMatrix.from_rows([[1, 0], [0, 1], [1, 1]])
-        model = LinearModel(x)
         g = RatMatrix.from_rows([[1, 0], [2, 1]])
-        assert estimable_part(model, HypothesisSpec(g)) == g.colspace
+        assert estimable_part(x, g) == g.colspace
 
     def test_saturated_cell_means_with_empty_cell(self):
         layout = builtin_layout("n2")
         x = incidence(layout)  # cell-means coding: beta is the cell-mean vector
-        model = LinearModel(x)
         c10 = helmert_contrast(3).kron(RatMatrix.ones(3))
-        got = estimable_part(model, HypothesisSpec(c10))
+        got = estimable_part(x, c10)
         want = RatMatrix.from_rows([[0], [1], [-1]]).kron(RatMatrix.ones(3)).colspace
         assert got == want
         assert got.dim == 1
@@ -188,8 +187,7 @@ class TestEstimablePart:
     def test_saturated_cell_means_filled_layouts(self):
         c10 = helmert_contrast(3).kron(RatMatrix.ones(3))
         for name in ("n0", "n1"):
-            model = LinearModel(incidence(builtin_layout(name)))
-            got = estimable_part(model, HypothesisSpec(c10))
+            got = estimable_part(incidence(builtin_layout(name)), c10)
             assert got == c10.colspace
 
 
@@ -332,149 +330,3 @@ class TestTypeSsCellSpace:
                     assert res.estimable_part == target_of(m, k, p_num)
         assert with_empty >= 5  # the draw must exercise empty cells
 
-
-class TestNcp:
-    def test_zero_beta(self):
-        rng = random.Random(4)
-        model = random_model(rng)
-        point = ParamPoint(tuple(F(0) for _ in range(model.ncoef)), F(1))
-        assert ncp(model.projector, model, point) == 0
-
-    def test_fixed_mean_gives_squared_norm(self):
-        x = RatMatrix.from_rows([[1, 0], [0, 2], [0, 0]])
-        model = LinearModel(x)
-        point = ParamPoint((F(3), F(1)), F(1))
-        # X beta = (3, 2, 0), inside sp(X), so the projector fixes it
-        assert ncp(model.projector, model, point) == 13
-
-    def test_restricted_beta_has_zero_ncp(self):
-        rng = random.Random(44)
-        for _ in range(20):
-            model = random_model(rng)
-            g = random_matrix(rng, model.ncoef, rng.randint(1, 2))
-            spec = HypothesisSpec(g)
-            p = rmfm_projector(model, spec)
-            nb = restriction_nullbasis(spec)
-            if nb.ncols == 0:
-                continue
-            coeff = column_vector([rng.randint(-2, 2) for _ in range(nb.ncols)])
-            beta = nb @ coeff
-            point = ParamPoint(
-                tuple(beta.entry(i, 0) for i in range(beta.nrows)), F(2)
-            )
-            assert ncp(p, model, point) == 0
-
-    def test_sigma_scaling(self):
-        x = RatMatrix.from_rows([[1], [1]])
-        model = LinearModel(x)
-        point = ParamPoint((F(1),), F(4))
-        assert ncp(model.projector, model, point) == F(1, 2)
-
-    def test_positive_sigma_required(self):
-        with pytest.raises(ValueError):
-            ParamPoint((F(1),), F(0))
-        with pytest.raises(ValueError):
-            ParamPoint((F(1),), F(-2))
-
-    def test_zero_iff_projected_mean_vanishes(self):
-        rng = random.Random(91)
-        for _ in range(25):
-            model = random_model(rng)
-            g = random_matrix(rng, model.ncoef, rng.randint(1, 2))
-            p = rmfm_projector(model, HypothesisSpec(g))
-            beta = [rng.randint(-2, 2) for _ in range(model.ncoef)]
-            point = ParamPoint(tuple(F(b) for b in beta), F(3))
-            projected = p.matrix @ model.x @ column_vector(beta)
-            val = ncp(p, model, point)
-            assert (val == 0) == projected.is_zero
-            assert val >= 0
-
-
-class TestFStatistic:
-    def test_zero_when_response_in_denominator_space(self):
-        p = projector(RatMatrix.from_rows([[1], [1]]))
-        q = p.complement()
-        res = f_statistic([1, -1], p, q)
-        assert res.f_value == 0
-
-    def test_zero_numerator_df_raises(self):
-        with pytest.raises(ValueError):
-            f_statistic([1, 2], Projector.zero(2), Projector.identity(2))
-
-    def test_nonorthogonal_projectors_raise(self):
-        p = projector(RatMatrix.from_rows([[1], [1]]))
-        with pytest.raises(ValueError):
-            f_statistic([1, 2], p, p)
-
-    def test_zero_denominator_ss_raises(self):
-        p = projector(RatMatrix.from_rows([[1], [1]]))
-        q = p.complement()
-        with pytest.raises(ValueError):
-            f_statistic([2, 2], p, q)
-
-    def test_perturbed_balanced_example_against_cell_mean_oracle(self):
-        layout = CellLayout.from_grid([[2, 2], [2, 2]])
-        y = [F("1.1"), 1, F("2.1"), 2, F("3.1"), 3, F("4.1"), 4]
-        # independent oracle: brute-force cell/row/grand means
-        cells = [y[0:2], y[2:4], y[4:6], y[6:8]]
-        cell_means = [sum(c) / 2 for c in cells]
-        row_means = [
-            (cell_means[0] + cell_means[1]) / 2,
-            (cell_means[2] + cell_means[3]) / 2,
-        ]
-        grand = sum(cell_means) / 4
-        ss_a = 2 * sum(
-            (row_means[i] - grand) ** 2 for i in (0, 0, 1, 1)
-        )
-        sse_full = sum(
-            (v - cell_means[ci]) ** 2 for ci, cell in enumerate(cells) for v in cell
-        )
-        k = incidence(layout)
-        p_num = type_numerator(3, A_EFFECT, layout)
-        q = projector(k).complement()
-        res = f_statistic(y, p_num, q)
-        assert res.ss_num == ss_a == 8
-        assert res.ss_den == sse_full == F(1, 50)
-        assert res.f_value == (ss_a / 1) / (sse_full / 4) == 1600
-        assert res.p_value is not None and 0 < res.p_value < 1
-
-
-class TestAdjustRhs:
-    def test_zero_rhs_is_identity(self):
-        x = RatMatrix.from_rows([[1, 0], [0, 1], [1, 1]])
-        model = LinearModel(x)
-        spec = HypothesisSpec(RatMatrix.from_rows([[1], [2]]))
-        y = [F(1), F(2), F(3)]
-        assert adjust_rhs(y, model, spec, [0]) == y
-
-    def test_coordinate_condition_shifts_by_column(self):
-        x = RatMatrix.from_rows([[1, 2], [0, 1], [1, 0]])
-        model = LinearModel(x)
-        spec = HypothesisSpec(column_vector([0, 1]))
-        y = [F(10), F(10), F(10)]
-        got = adjust_rhs(y, model, spec, [5])
-        want = [10 - 5 * x.entry(i, 1) for i in range(3)]
-        assert got == want
-
-    def test_inconsistent_rhs_raises(self):
-        x = RatMatrix.from_rows([[1, 0], [0, 1]])
-        model = LinearModel(x)
-        g = RatMatrix.from_rows([[1, 1], [0, 0]])  # two copies of e1
-        with pytest.raises(ValueError):
-            adjust_rhs([1, 2], model, HypothesisSpec(g), [0, 1])
-
-    def test_shifted_response_satisfies_homogeneous_fit(self):
-        rng = random.Random(15)
-        for _ in range(20):
-            model = random_model(rng)
-            g = random_matrix(rng, model.ncoef, rng.randint(1, 2))
-            if g.is_zero:
-                continue
-            spec = HypothesisSpec(g)
-            b_true = [rng.randint(-3, 3) for _ in range(model.ncoef)]
-            c_col = g.transpose() @ column_vector(b_true)
-            c0 = [c_col.entry(i, 0) for i in range(c_col.nrows)]
-            y = [rng.randint(-4, 4) for _ in range(model.n)]
-            shifted = adjust_rhs(y, model, spec, c0)
-            # shifting again with the homogeneous rhs is a no-op
-            assert adjust_rhs(shifted, model, spec, [0] * len(c0)) == shifted
