@@ -204,7 +204,6 @@ def _frac_json(value: Fraction) -> dict:
 
 
 def _entry_json(t: int, cfg: RunConfig, res: TestResult) -> dict:
-    assert res.estimable_part is not None
     return {
         "effect": cfg.effect_label,
         "type": t,
@@ -268,12 +267,11 @@ def _render_table(cfg: RunConfig, plan: AnovaPlan, entries: list[tuple[int, Test
     for t, res in entries:
         fstr = str(res.f_value) if res.f_value is not None else "undefined"
         pstr = f"{res.p_value:.6g}" if res.p_value is not None else "undefined"
-        dim = res.estimable_part.dim if res.estimable_part is not None else 0
+        dim = res.estimable_part.dim
         lines.append(f"{t:<6}{str(res.ss_num):<18}{res.nu_num:<4}{fstr:<18}{pstr:<12}{dim}")
     for t, reason in skipped:
         lines.append(f"{t:<6}skipped: {reason}")
     for t, res in entries:
-        assert res.estimable_part is not None
         cols = primitive_columns(res.estimable_part.basis)
         lines.append("")
         lines.append(
@@ -383,6 +381,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise InputError("--matrices only applies to the dominance (prop2) target")
         if (args.dims is not None or args.factors is not None) and target not in ("prop3", "all"):
             raise InputError("--dims and --factors only apply to the prop3 and all targets")
+        randomized = target in ("prop1", "prop2", "dominance", "all") and not args.matrices
+        if (args.seed is not None or args.trials is not None) and not randomized:
+            raise InputError("--seed and --trials only apply to the randomized prop1, prop2 "
+                             "(dominance) and all suites, not to --matrices")
         if args.trials is not None and args.trials < 1:
             raise InputError(f"--trials must be at least 1, got {args.trials}")
         if target in ("table1", "all"):

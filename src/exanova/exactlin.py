@@ -13,7 +13,7 @@ Each operation of the subspace calculus has one spelling, on the value
 it acts on: `m.colspace` and `m.nullspace` (cached properties),
 `m.rank()`, `m.trace()`, `s.complement()`, `s.intersect(t)` and
 `s.sum(t)`.  The module functions are the operations that are more than
-a forward to a method: `projector`, `weighted_fit`, `is_nnd`,
+a forward to a method: `projector`, `weighted_basis`, `is_nnd`,
 `solve_linear`, `primitive_columns` and `column_vector`.
 
 The public constructor checks every entry; results built inside this
@@ -38,7 +38,7 @@ __all__ = [
     "Subspace",
     "Projector",
     "projector",
-    "weighted_fit",
+    "weighted_basis",
     "is_nnd",
     "solve_linear",
     "primitive_columns",
@@ -135,11 +135,6 @@ class RatMatrix:
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "RatMatrix":
         return cls._of([(0,) * ncols] * nrows)
-
-    @classmethod
-    def diagonal(cls, values: Sequence[int]) -> "RatMatrix":
-        n = len(values)
-        return cls([[values[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
     def ones(cls, nrows: int, ncols: int = 1) -> "RatMatrix":
@@ -496,41 +491,52 @@ class Projector:
         return f"Projector(rank {self.nu} on R^{self.ambient})"
 
 
-def _gram_sum(m: RatMatrix, weights: Sequence[int] | None = None) -> tuple[RatMatrix, int]:
-    """sum of u u'/(u'Wu) over a W-orthogonal integer basis of sp(m), and
-    the number of basis vectors, where W = diag(weights) (the identity
-    when weights is None).
+def weighted_basis(m: RatMatrix, weights: Sequence[int] | None = None) -> list[tuple[list[int], int] | None]:
+    """Gram-Schmidt without normalization over the columns of m, in order,
+    in the inner product u'Wv with W = diag(weights) (the identity when
+    weights is None), so everything stays integer.
 
-    Gram-Schmidt without normalization, so everything stays rational.
-    A column whose remainder has u'Wu = 0 is dropped; with nonnegative
-    weights the sum is then M (M'WM)^- M' and the count is
-    rank(W^(1/2) M).
+    One entry per column: (u, u'Wu) for an integer multiple u of what the
+    column leaves once the earlier kept vectors are projected out, or None
+    where u'Wu = 0 (the column adds nothing).  With nonnegative weights
+    the sum of u u'/(u'Wu) over the kept entries is M (M'WM)^- M' and their
+    number is rank(W^(1/2) M).  Gram-Schmidt never looks ahead, so the
+    entries of a column prefix are the prefix's own: the entries past the
+    prefix carry exactly what the later columns add to it.
     """
+    if weights is not None and (len(weights) != m.nrows or any(d < 0 for d in weights)):
+        raise ValueError("need one nonnegative weight per row")
+    out: list[tuple[list[int], int] | None] = []
+    kept: list[tuple[list[int], list[int], int]] = []
+    for col in zip(*m._num):
+        w = list(col)
+        for u, wu, uu in kept:
+            uw = sum(map(mul, wu, w))
+            if uw:
+                w = [uu * a - uw * b for a, b in zip(w, u)]
+                g = _content(w)
+                if g > 1:
+                    w = [v // g for v in w]
+        ww = w if weights is None else [d * v for d, v in zip(weights, w)]
+        norm = sum(map(mul, ww, w))
+        if norm:
+            kept.append((w, ww, norm))
+            out.append((w, norm))
+        else:
+            out.append(None)
+    return out
+
+
+def projector(m: RatMatrix) -> Projector:
+    """Orthogonal projector onto the column space of m:
+    P = sum of u u'/(u'u) over the orthogonal basis of `weighted_basis(m)`."""
     n = m.nrows
-    ortho: list[list[int]] = []
-    wortho: list[list[int]] = []
-    norms: list[int] = []
-    if m.ncols:
-        for col in zip(*m._num):
-            w = list(col)
-            for u, wu, uu in zip(ortho, wortho, norms):
-                uw = sum(map(mul, wu, w))
-                if uw:
-                    w = [uu * a - uw * b for a, b in zip(w, u)]
-                    g = _content(w)
-                    if g > 1:
-                        w = [v // g for v in w]
-            ww = w if weights is None else [d * v for d, v in zip(weights, w)]
-            norm = sum(map(mul, ww, w))
-            if norm:
-                ortho.append(w)
-                wortho.append(ww)
-                norms.append(norm)
+    kept = [e for e in weighted_basis(m) if e is not None]
     den = 1
-    for uu in norms:
+    for _, uu in kept:
         den = _lcm(den, uu)
     num = [[0] * n for _ in range(n)]
-    for u, uu in zip(ortho, norms):
+    for u, uu in kept:
         c = den // uu
         for i, ui in enumerate(u):
             if ui:
@@ -539,27 +545,7 @@ def _gram_sum(m: RatMatrix, weights: Sequence[int] | None = None) -> tuple[RatMa
                 for j, uj in enumerate(u):
                     if uj:
                         row[j] += cui * uj
-    return RatMatrix._of(num, den), len(ortho)
-
-
-def projector(m: RatMatrix) -> Projector:
-    """Orthogonal projector onto the column space of m:
-    P = sum of u u'/(u'u) over an orthogonal integer basis."""
-    return Projector(_gram_sum(m)[0], check=False)
-
-
-def weighted_fit(m: RatMatrix, weights: Sequence[int]) -> tuple[RatMatrix, int]:
-    """A = M (M'WM)^- M' for W = diag(weights) with nonnegative integer
-    weights, together with rank(W^(1/2) M).
-
-    With W = K'K for an incidence matrix K, K A K' is the orthogonal
-    projector onto sp(K M), so for cell totals t = K'y the fitted sum
-    of squares is t'At.  W A W does not depend on the g-inverse chosen,
-    which is what makes A usable even when some weights are zero.
-    """
-    if len(weights) != m.nrows or any(d < 0 for d in weights):
-        raise ValueError("need one nonnegative weight per row")
-    return _gram_sum(m, weights)
+    return Projector(RatMatrix._of(num, den), check=False)
 
 
 def is_nnd(m: RatMatrix) -> bool:

@@ -10,7 +10,9 @@ is exact rational arithmetic.  Floats appear only in p-values.
 
 The two-factor type 1/2/3 SS take the cell route instead: an
 `AnovaPlan` aggregates the response into cell totals once, and every
-SS type of that response reads them, with no n x n matrix.
+SS type of that response reads them, with no n x n matrix.  Each SS is
+one count-weighted Gram-Schmidt pass over the reduced model's columns
+followed by the effect's, so the two fits are nested by construction.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .effects import (
     ContrastScheme,
     EffectId,
     all_effects,
+    c_block,
     effect_model_matrix,
     incidence,
 )
@@ -36,7 +39,7 @@ from .exactlin import (
     Subspace,
     column_vector,
     projector,
-    weighted_fit,
+    weighted_basis,
 )
 
 __all__ = [
@@ -60,9 +63,8 @@ class TestResult:
 
     f_value is defined only when the numerator has positive degrees of
     freedom and the denominator sum of squares is positive; otherwise it
-    (and the p-value) is None.  estimable_part carries the subspace the
-    numerator actually tests, when the caller supplies enough context to
-    name one.
+    (and the p-value) is None.  estimable_part is the subspace of the
+    cell means that the numerator actually tests.
     """
 
     ss_num: Fraction
@@ -70,7 +72,7 @@ class TestResult:
     ss_den: Fraction
     nu_den: int
     f_value: Fraction | None
-    estimable_part: Subspace | None = None
+    estimable_part: Subspace
     p_value: float | None = None
 
 
@@ -172,22 +174,13 @@ def type_numerator(
     return full.minus(reduced)
 
 
-def _cell_fit(effects: frozenset[EffectId], layout: CellLayout,
-              scheme: ContrastScheme | None) -> tuple[RatMatrix, int]:
-    """Cell-space fit of the model with these effects: A = M(M'DM)^-M'
-    for its cell-mean matrix M and the cell counts D, plus rank(K M)."""
-    if not effects:
-        return RatMatrix.zeros(layout.ncells, layout.ncells), 0
-    return weighted_fit(effect_model_matrix(effects, layout.dims, scheme), layout.counts)
-
-
 class AnovaPlan:
     """What every SS of one layout and response shares, built once: the
-    counts D = K'K, the cell totals t = K'y, and the denominator, the
+    counts D = K'K, the cell totals t = K'y as integers over the
+    response's common denominator, and the denominator, the
     saturated-model residual sum(y^2) - sum(t_c^2/n_c) on
-    n - (number of nonempty cells) df, from integer sums over the
-    response's common denominator.  The projector P_m of a report model
-    m is built on first use and shared by every SS reported in m."""
+    n - (number of nonempty cells) df.  The projector P_m of a report
+    model m is built on first use and shared by every SS reported in m."""
 
     def __init__(self, layout: CellLayout, y: Sequence[Fraction | int | str],
                  scheme: ContrastScheme | None = None):
@@ -200,32 +193,35 @@ class AnovaPlan:
         fitted = sum(Fraction(tc * tc, nc) for tc, nc in zip(totals, layout.counts) if nc)
         self.ss_den = (sum(map(mul, ys, ys)) - fitted) / (den * den)
         self.nu_den = layout.n - sum(1 for nc in layout.counts if nc)
-        self.totals = RatMatrix([[tc] for tc in totals], den)
-        self.d = RatMatrix.diagonal(layout.counts)
+        self.totals = totals
+        self.den = den
         self.layout = layout
         self.scheme = scheme
         self._report_projectors: dict[frozenset[EffectId], RatMatrix] = {}
 
     def ss(self, t: int, effect: EffectId, *,
            report_set: frozenset[EffectId] | None = None) -> TestResult:
-        """Type-t SS for one effect of a two-factor layout: t'(A_f - A_r)t,
-        with A = M(M'DM)^-M' for the full and the reduced model.  Its
-        testing target sp(P_m D(A_f - A_r)D) equals testing_target(m, K,
+        """Type-t SS for one effect of a two-factor layout, from one
+        D-weighted Gram-Schmidt pass over the columns [M_r | M_e]: the
+        reduced model's blocks, then the effect's.  The vectors u kept
+        from M_e span what the effect adds to the reduced fit, so the SS
+        is the sum of (u't)^2/(u'Du) over them and its df is their number.
+        Its testing target sp(P_m D U_e) is sp(P_m D(A_f - A_r)D) for the
+        fits A = M(M'DM)^-M' (the u are D-orthogonal with u'Du > 0, so
+        the Du are independent), and that equals testing_target(m, K,
         type_numerator(...)) because sp(B K') = sp(B K'K); `report_set`
         picks m (default: the SS's own model)."""
         model_set = type_model_set(t, effect)
         if effect not in model_set:
             raise ValueError(f"effect {effect} is not in the type-{t} model")
-        a_full, rank_full = _cell_fit(model_set, self.layout, self.scheme)
-        a_rest, rank_rest = _cell_fit(model_set - {effect}, self.layout, self.scheme)
-        d = self.d
-        # P_f P_r = P_r in observation space, written as D A_f D A_r D = D A_r D
-        dad_rest = d @ a_rest @ d
-        if d @ a_full @ dad_rest != dad_rest:
-            raise ValueError("projector difference requires nested ranges")
-        a_num = a_full - a_rest
-        ss_num = (self.totals.transpose() @ a_num @ self.totals).entry(0, 0)
-        nu_num = rank_full - rank_rest
+        dims, counts = self.layout.dims, self.layout.counts
+        rest = sorted(model_set - {effect}, key=EffectId.sort_key)
+        blocks = [c_block(e, dims, self.scheme) for e in (*rest, effect)]
+        split = sum(b.ncols for b in blocks[:-1])
+        kept = [e for e in weighted_basis(RatMatrix.hstack(*blocks), counts)[split:] if e is not None]
+        ss_num = sum((Fraction(sum(map(mul, u, self.totals)) ** 2, uu) for u, uu in kept),
+                     Fraction(0)) / (self.den * self.den)
+        nu_num = len(kept)
         f_value: Fraction | None = None
         p: float | None = None
         if nu_num > 0 and self.nu_den > 0 and self.ss_den > 0:
@@ -233,9 +229,10 @@ class AnovaPlan:
             p = fdist.p_value_from(float(f_value), nu_num, self.nu_den)
         report = report_set if report_set is not None else model_set
         if report not in self._report_projectors:
-            m = effect_model_matrix(report, self.layout.dims, self.scheme)
+            m = effect_model_matrix(report, dims, self.scheme)
             self._report_projectors[report] = projector(m).matrix
-        target = (self._report_projectors[report] @ d @ a_num @ d).colspace
+        du = RatMatrix([[nc * u[i] for u, _ in kept] for i, nc in enumerate(counts)])
+        target = (self._report_projectors[report] @ du).colspace
         return TestResult(
             ss_num=ss_num,
             nu_num=nu_num,

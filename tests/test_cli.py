@@ -325,6 +325,18 @@ class TestVerifyCommand:
         assert (code, out) == (2, "")
         assert "error: --dims and --factors only apply to the prop3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["table1", "--seed", "3"],
+        ["prop3", "--trials", "7"],
+        ["fdist", "--trials", "7", "--seed", "3"],
+        ["prop2", "--matrices", "xhl.json", "--seed", "3"],
+        ["dominance", "--matrices", "xhl.json", "--trials", "7"],
+    ])
+    def test_seed_and_trials_need_a_randomized_suite(self, argv, capsys):
+        code, out = run_cli(["verify", *argv])
+        assert (code, out) == (2, "")
+        assert "error: --seed and --trials only apply to the randomized" in capsys.readouterr().err
+
     def test_dims_factor_mismatch(self):
         code, _ = run_cli(["verify", "prop3", "--factors", "2", "--dims", "2,3,2"])
         assert code == 2

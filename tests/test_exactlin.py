@@ -15,7 +15,7 @@ from exanova.exactlin import (
     is_nnd,
     projector,
     solve_linear,
-    weighted_fit,
+    weighted_basis,
 )
 
 F = Fraction
@@ -268,16 +268,27 @@ class TestProjector:
             q.minus(d)
 
 
-class TestWeightedFit:
+def weighted_sum(entries, n: int) -> RatMatrix:
+    """sum of u u'/(u'Wu) over the kept entries of weighted_basis."""
+    total = [[F(0)] * n for _ in range(n)]
+    for u, uu in filter(None, entries):
+        for i in range(n):
+            for j in range(n):
+                total[i][j] += F(u[i] * u[j], uu)
+    return RatMatrix.from_rows(total)
+
+
+class TestWeightedBasis:
     def test_unit_weights_give_projector(self):
         m = RatMatrix.from_rows([[1, 2], [1, 0], [1, -1], [1, 4]])
-        a, r = weighted_fit(m, [1, 1, 1, 1])
-        assert a == projector(m).matrix
-        assert r == 2
+        entries = weighted_basis(m, [1, 1, 1, 1])
+        assert weighted_sum(entries, 4) == projector(m).matrix
+        assert weighted_basis(m) == entries
+        assert sum(e is not None for e in entries) == 2
 
     def test_matches_observation_space_projector(self):
-        # K A K' is the projector onto sp(K M) for the incidence K of
-        # the weights, zero weights (empty cells) included
+        # K (sum u u'/u'Wu) K' is the projector onto sp(K M) for the
+        # incidence K of the weights, zero weights (empty cells) included
         rng = random.Random(19)
         for _ in range(30):
             c, p = rng.randint(2, 6), rng.randint(1, 4)
@@ -288,15 +299,27 @@ class TestWeightedFit:
             k = RatMatrix(
                 [[int(i == j) for j in range(c)] for i in range(c) for _ in range(weights[i])]
             )
-            a, r = weighted_fit(m, weights)
-            assert k @ a @ k.transpose() == projector(k @ m).matrix
-            assert r == (k @ m).rank()
+            entries = weighted_basis(m, weights)
+            assert len(entries) == p
+            assert k @ weighted_sum(entries, c) @ k.transpose() == projector(k @ m).matrix
+            assert sum(e is not None for e in entries) == (k @ m).rank()
+
+    def test_prefix_entries_are_the_prefix_basis(self):
+        rng = random.Random(23)
+        for _ in range(30):
+            c, p = rng.randint(2, 6), rng.randint(2, 5)
+            rows = [[rng.randint(-2, 2) for _ in range(p)] for _ in range(c)]
+            weights = [rng.choice((0, 1, 2, 3)) for _ in range(c)]
+            entries = weighted_basis(RatMatrix.from_rows(rows), weights)
+            for w in range(1, p):
+                prefix = RatMatrix.from_rows([r[:w] for r in rows])
+                assert weighted_basis(prefix, weights) == entries[:w]
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
-            weighted_fit(RatMatrix.identity(2), [1, -1])
+            weighted_basis(RatMatrix.identity(2), [1, -1])
         with pytest.raises(ValueError):
-            weighted_fit(RatMatrix.identity(2), [1])
+            weighted_basis(RatMatrix.identity(2), [1])
 
 
 class TestSubspaceCalculus:

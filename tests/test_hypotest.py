@@ -281,25 +281,50 @@ def random_contrast(rng, m):
             return c
 
 
-def random_layout(rng):
-    """A 2x2 to 4x4 layout with counts 0-3, often with empty cells,
-    every level observed."""
+def random_layout(rng, sizes=(2, 4), counts=(0, 0, 1, 2, 3)):
+    """A layout with `sizes` levels per factor and cell counts drawn from
+    `counts`, often with empty cells, every level observed."""
     while True:
-        dims = (rng.randint(2, 4), rng.randint(2, 4))
-        counts = tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(dims[0] * dims[1]))
+        dims = (rng.randint(*sizes), rng.randint(*sizes))
+        cells = tuple(rng.choice(counts) for _ in range(dims[0] * dims[1]))
         try:
-            return CellLayout(dims, counts)
+            return CellLayout(dims, cells)
         except ValueError:
             continue
 
 
 class TestTypeSsCellSpace:
     """type_ss works in cell space; the observation-space projectors are
-    its oracle, and must agree exactly."""
+    its oracle, and must agree exactly, for every effect (the mean
+    included) and every SS type whose model holds it."""
+
+    @staticmethod
+    def check_layout(rng, layout, scheme):
+        effects = all_effects(2)
+        y = [F(rng.randint(-9, 9), rng.choice((1, 2, 4))) for _ in range(layout.n)]
+        k = incidence(layout)
+        q = projector(k).complement()
+        ss_den = quad_form(y, q.matrix)
+        for effect in effects:
+            for t in (1, 2, 3):
+                if effect not in type_model_set(t, effect):
+                    continue
+                report_set = frozenset(e for e in effects if rng.random() < 0.6)
+                report_set = report_set or frozenset(effects[:1])
+                res = type_ss(t, effect, layout, y, scheme, report_set=report_set)
+                p_num = type_numerator(t, effect, layout, scheme)
+                ss_num = quad_form(y, p_num.matrix)
+                f_value = None
+                if p_num.nu > 0 and q.nu > 0 and ss_den > 0:
+                    f_value = (ss_num / p_num.nu) / (ss_den / q.nu)
+                assert (res.ss_num, res.nu_num, res.ss_den, res.nu_den, res.f_value) == (
+                    ss_num, p_num.nu, ss_den, q.nu, f_value
+                )
+                m = effect_model_matrix(report_set, layout.dims, scheme)
+                assert res.estimable_part == target_of(m, k, p_num)
 
     def test_matches_observation_space_oracle(self):
         rng = random.Random(2024)
-        effects = all_effects(2)
         with_empty = 0
         for _ in range(14):
             layout = random_layout(rng)
@@ -307,26 +332,14 @@ class TestTypeSsCellSpace:
             scheme = None
             if rng.random() < 0.5:
                 scheme = ContrastScheme.user([random_contrast(rng, m) for m in layout.dims])
-            y = [F(rng.randint(-9, 9), rng.choice((1, 2, 4))) for _ in range(layout.n)]
-            k = incidence(layout)
-            q = projector(k).complement()
-            ss_den = quad_form(y, q.matrix)
-            for effect in effects[1:]:
-                for t in (1, 2, 3):
-                    if effect not in type_model_set(t, effect):
-                        continue
-                    report_set = frozenset(e for e in effects if rng.random() < 0.6)
-                    report_set = report_set or frozenset(effects[:1])
-                    res = type_ss(t, effect, layout, y, scheme, report_set=report_set)
-                    p_num = type_numerator(t, effect, layout, scheme)
-                    ss_num = quad_form(y, p_num.matrix)
-                    f_value = None
-                    if p_num.nu > 0 and q.nu > 0 and ss_den > 0:
-                        f_value = (ss_num / p_num.nu) / (ss_den / q.nu)
-                    assert (res.ss_num, res.nu_num, res.ss_den, res.nu_den, res.f_value) == (
-                        ss_num, p_num.nu, ss_den, q.nu, f_value
-                    )
-                    m = effect_model_matrix(report_set, layout.dims, scheme)
-                    assert res.estimable_part == target_of(m, k, p_num)
+            self.check_layout(rng, layout, scheme)
         assert with_empty >= 5  # the draw must exercise empty cells
+
+    def test_wide_layouts_match_oracle(self):
+        # 5x5 to 6x6 with about one cell in five empty and 1-2 replicates
+        rng = random.Random(2025)
+        for _ in range(3):
+            layout = random_layout(rng, sizes=(5, 6), counts=(0, 1, 1, 1, 2))
+            assert 0 in layout.counts
+            self.check_layout(rng, layout, None)
 
