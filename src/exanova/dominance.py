@@ -5,8 +5,9 @@ quadratic form tests the same thing (sp(X'L) = sp(X'H)), four facts
 hold: projecting L back into the model recovers sp(H); L lives inside
 sp(H) plus the residual space; the noncentrality-governing matrix
 X'P_H X - X'P_L X is nonnegative definite; and the degrees of freedom
-satisfy nu_H = nu_{P_X L} <= nu_L <= nu_H + n - nu_X.  All four are
-decided exactly over the rationals.
+satisfy nu_H = nu_{P_X L} <= nu_L <= nu_H + n - nu_X.  A fifth fact
+goes with them: P_H + (I - P_X) - P_L is symmetric and idempotent.  All
+are decided exactly over the rationals.
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ __all__ = ["DominanceReport", "check_dominance"]
 
 @dataclass(frozen=True)
 class DominanceReport:
-    """Outcome of the four competing-numerator conclusions.
+    """Outcome of the four competing-numerator conclusions, plus
+    `aux_idempotent`: P_H + (I - P_X) - P_L is symmetric and idempotent.
 
-    When the preconditions hold these are all True; a False field means
+    When the preconditions hold the bools are all True; a False field means
     a bug, not a property of the inputs (violated preconditions raise
     instead of reporting).
     """
@@ -35,6 +37,7 @@ class DominanceReport:
     nu_l: int
     df_slack: int  # n - nu_X
     df_bounds_hold: bool
+    aux_idempotent: bool
 
 
 def check_dominance(x: RatMatrix, h: RatMatrix, l: RatMatrix) -> DominanceReport:
@@ -63,6 +66,8 @@ def check_dominance(x: RatMatrix, h: RatMatrix, l: RatMatrix) -> DominanceReport
     enlarged = p_h.matrix + resid.matrix
     containment = enlarged @ l == l
     nnd_holds = is_nnd(xt @ p_h.matrix @ x - xt @ p_l.matrix @ x)
+    aux = enlarged - p_l.matrix
+    aux_idempotent = aux.is_symmetric and aux @ aux == aux
 
     nu_h = p_h.nu
     nu_pxl = (p_x.matrix @ l).rank()
@@ -79,13 +84,6 @@ def check_dominance(x: RatMatrix, h: RatMatrix, l: RatMatrix) -> DominanceReport
         nu_l=nu_l,
         df_slack=slack,
         df_bounds_hold=df_bounds_hold,
+        aux_idempotent=aux_idempotent,
     )
 
-
-def auxiliary_projector(x: RatMatrix, h: RatMatrix, l: RatMatrix) -> RatMatrix:
-    """The matrix P_H + (I - P_X) - P_L, symmetric idempotent whenever the
-    dominance preconditions hold; exposed for verification suites."""
-    p_h = projector(h)
-    p_l = projector(l)
-    resid = projector(x).complement()
-    return p_h.matrix + resid.matrix - p_l.matrix

@@ -18,11 +18,14 @@ a forward to a method: `projector`, `weighted_basis`, `is_nnd`,
 
 The public constructor checks every entry; results built inside this
 module from rows that are already integer go through the trusted
-`RatMatrix._of`, which skips those checks.  A kernel costs one echelon
-reduction, of the matrix with its columns reversed, whose free-variable
-basis is already canonical.  Each Subspace computes its orthogonal
-complement at most once, so `intersect`, which is the complement of the
-sum of the complements, reuses the complements of operands it has seen.
+`RatMatrix._of`, which skips those checks.  Every echelon form comes
+from `_rref_int`, a fraction-free Gauss-Jordan pass on primitive rows,
+whose canonical output needs no further gcd reduction.  A kernel costs
+one echelon reduction, of the matrix with its columns reversed, whose
+free-variable basis is already canonical.  Each Subspace computes its
+orthogonal complement at most once, so `intersect`, which is the
+complement of the sum of the complements, reuses the complements of
+operands it has seen.
 """
 
 from __future__ import annotations
@@ -30,8 +33,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 __all__ = [
     "RatMatrix",
@@ -44,21 +48,6 @@ __all__ = [
     "primitive_columns",
     "column_vector",
 ]
-
-
-def _lcm(a: int, b: int) -> int:
-    return a // math.gcd(a, b) * b
-
-
-def _content(values: Iterable[int], start: int = 0) -> int:
-    """gcd of all values (and `start`); 0 only if everything is zero."""
-    g = start
-    for v in values:
-        if v:
-            g = math.gcd(g, v)
-            if g == 1:
-                return 1
-    return g
 
 
 class RatMatrix:
@@ -106,10 +95,10 @@ class RatMatrix:
 
     def _set(self, rows: Sequence[Sequence[int]], den: int, normalized: bool) -> None:
         if not normalized and den != 1:
-            g = _content((v for r in rows for v in r), start=den)
+            g = math.gcd(den, *chain.from_iterable(rows))
             if g > 1:
                 den //= g
-                rows = [tuple(v // g for v in r) for r in rows]
+                rows = [tuple([v // g for v in r]) for r in rows]
         self._num: tuple[tuple[int, ...], ...] = tuple(map(tuple, rows))
         self._den: int = den
         self.nrows: int = len(self._num)
@@ -121,10 +110,7 @@ class RatMatrix:
     def from_rows(cls, rows: Sequence[Sequence[Fraction | int | str]]) -> "RatMatrix":
         """Build from rows of ints, Fractions, or exact numeric strings."""
         frac_rows = [[Fraction(v) for v in r] for r in rows]
-        den = 1
-        for r in frac_rows:
-            for v in r:
-                den = _lcm(den, v.denominator)
+        den = math.lcm(*(v.denominator for r in frac_rows for v in r))
         num = [[v.numerator * (den // v.denominator) for v in r] for r in frac_rows]
         return cls(num, den)
 
@@ -186,21 +172,22 @@ class RatMatrix:
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
+        return self._combine(other, 1)
+
+    def __sub__(self, other: "RatMatrix") -> "RatMatrix":
+        return self._combine(other, -1)
+
+    def _combine(self, other: "RatMatrix", sign: int) -> "RatMatrix":
+        """self + sign * other, in one pass over the entries."""
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-        d = _lcm(self._den, other._den)
-        fa, fb = d // self._den, d // other._den
+        d = math.lcm(self._den, other._den)
+        fa, fb = d // self._den, sign * (d // other._den)
         num = [
-            tuple(fa * a + fb * b for a, b in zip(ra, rb))
+            tuple([fa * a + fb * b for a, b in zip(ra, rb)])
             for ra, rb in zip(self._num, other._num)
         ]
         return RatMatrix._of(num, d)
-
-    def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        return self + (-other)
-
-    def __neg__(self) -> "RatMatrix":
-        return RatMatrix._of([tuple(-v for v in r) for r in self._num], self._den, normalized=True)
 
     def scale(self, c: Fraction | int) -> "RatMatrix":
         c = Fraction(c)
@@ -236,9 +223,7 @@ class RatMatrix:
         n = mats[0].nrows
         if any(m.nrows != n for m in mats):
             raise ValueError("hstack: row counts differ")
-        den = 1
-        for m in mats:
-            den = _lcm(den, m._den)
+        den = math.lcm(*(m._den for m in mats))
         scaled = [(m._num, den // m._den) for m in mats]
         num = [
             tuple([v * f for rows, f in scaled for v in rows[i]])
@@ -260,7 +245,7 @@ class RatMatrix:
         Denominator-free: the row space does not depend on the stored
         denominator, so only the integer rows enter.
         """
-        return _rref_int([list(r) for r in self._num])
+        return _rref_int(list(self._num))
 
     def rank(self) -> int:
         if self.ncols == 0:
@@ -272,8 +257,11 @@ class RatMatrix:
         """Column space, with canonical (reduced column echelon) basis."""
         if self.ncols == 0 or self.is_zero:
             return Subspace.zero(self.nrows)
-        rows, den, _ = self.transpose()._rref
-        return Subspace(self.nrows, RatMatrix._of(list(zip(*rows)), den))
+        rows, den, _ = _rref_int(list(zip(*self._num)))
+        # Already reduced: echelon row i is a primitive row times den/pv_i,
+        # and its pivot entry is den, so the gcd of den and every entry
+        # divides gcd_i(den/pv_i), which is 1 when den = lcm_i(pv_i).
+        return Subspace(self.nrows, RatMatrix._of(list(zip(*rows)), den, normalized=True))
 
     @cached_property
     def nullspace(self) -> "Subspace":
@@ -302,22 +290,30 @@ class RatMatrix:
             unit = zero.copy()
             unit[t] = den
             basis[n - 1 - c] = tuple(unit)
-        return Subspace(n, RatMatrix._of(basis, den))
+        # Already reduced, as in colspace: row i contributes den/pv_i times
+        # its entries off the pivot columns, whose gcd with pv_i is 1 since
+        # the row is primitive, so the gcd of den and the basis entries
+        # divides gcd_i(den/pv_i) = 1.
+        return Subspace(n, RatMatrix._of(basis, den, normalized=True))
 
 
-def _rref_int(m: list[list[int]]) -> tuple[tuple[tuple[int, ...], ...], int, tuple[int, ...]]:
+def _rref_int(m: list[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], int, tuple[int, ...]]:
     """Fraction-free reduced row echelon form of an integer matrix.
 
-    Forward pass is Bareiss elimination (single-step exact division by
-    the previous pivot); the backward pass clears above pivots with
-    cross-multiplication and per-row gcd reduction.  Returns the pivot
-    rows scaled by one positive denominator `den` (pivot entries equal
-    den exactly), plus the pivot column indices.
+    Gauss-Jordan on primitive rows: each pivot row is divided by its
+    content and made to lead positive; every other row with a nonzero
+    entry f in the pivot column, above or below, becomes
+    (p/g) row - (f/g) pivot row for g = gcd(p, f) and is divided by its
+    content, and a row with a zero there is left alone.  There is no
+    backward pass.  A reduced echelon form with primitive rows and
+    positive pivots is unique, so the result is canonical.  Returns the
+    pivot rows scaled by one positive denominator `den` = lcm of the
+    pivots (pivot entries equal den exactly), plus the pivot column
+    indices.  Rows of `m` are replaced, never changed in place.
     """
     nr = len(m)
     nc = len(m[0]) if nr else 0
     piv_cols: list[int] = []
-    prev = 1
     r = 0
     for c in range(nc):
         pr = -1
@@ -327,51 +323,35 @@ def _rref_int(m: list[list[int]]) -> tuple[tuple[tuple[int, ...], ...], int, tup
                 break
         if pr < 0:
             continue
+        row_r = m[pr]
         if pr != r:
-            m[r], m[pr] = m[pr], m[r]
-        p = m[r][c]
-        for i in range(r + 1, nr):
-            f = m[i][c]
-            row_i = m[i]
-            if f:
-                row_r = m[r]
-                m[i] = [(p * a - f * b) // prev for a, b in zip(row_i, row_r)]
-            elif p != prev:
-                m[i] = [(p * a) // prev for a in row_i]
-        prev = p
+            m[pr] = m[r]
+        g = math.gcd(*row_r)
+        if row_r[c] < 0:
+            g = -g
+        if g != 1:
+            row_r = [v // g for v in row_r]
+        m[r] = row_r
+        p = row_r[c]
+        for i, row_i in enumerate(m):
+            f = row_i[c]
+            if f and i != r:
+                g = math.gcd(p, f)
+                a, b = p // g, f // g
+                new = [a * x - b * y for x, y in zip(row_i, row_r)]
+                g = math.gcd(*new)
+                if g > 1:
+                    new = [v // g for v in new]
+                m[i] = new
         piv_cols.append(c)
         r += 1
         if r == nr:
             break
-    k = len(piv_cols)
-    for idx in range(k - 1, -1, -1):
-        c = piv_cols[idx]
-        row_p = m[idx]
-        p = row_p[c]
-        for i in range(idx):
-            f = m[i][c]
-            if f:
-                new = [p * a - f * b for a, b in zip(m[i], row_p)]
-                g = _content(new)
-                if g > 1:
-                    new = [v // g for v in new]
-                m[i] = new
-    prim: list[list[int]] = []
-    piv_vals: list[int] = []
-    for idx in range(k):
-        row = m[idx]
-        g = _content(row)
-        if g > 1:
-            row = [v // g for v in row]
-        if row[piv_cols[idx]] < 0:
-            row = [-v for v in row]
-        prim.append(row)
-        piv_vals.append(row[piv_cols[idx]])
-    den = 1
-    for p in piv_vals:
-        den = _lcm(den, p)
+    pivots = [m[i][c] for i, c in enumerate(piv_cols)]
+    den = math.lcm(*pivots)
     out = tuple(
-        tuple(v * (den // pv) for v in row) for row, pv in zip(prim, piv_vals)
+        tuple(row) if pv == den else tuple([v * (den // pv) for v in row])
+        for row, pv in zip(m, pivots)
     )
     return out, den, tuple(piv_cols)
 
@@ -514,7 +494,7 @@ def weighted_basis(m: RatMatrix, weights: Sequence[int] | None = None) -> list[t
             uw = sum(map(mul, wu, w))
             if uw:
                 w = [uu * a - uw * b for a, b in zip(w, u)]
-                g = _content(w)
+                g = math.gcd(*w)
                 if g > 1:
                     w = [v // g for v in w]
         ww = w if weights is None else [d * v for d, v in zip(weights, w)]
@@ -532,9 +512,7 @@ def projector(m: RatMatrix) -> Projector:
     P = sum of u u'/(u'u) over the orthogonal basis of `weighted_basis(m)`."""
     n = m.nrows
     kept = [e for e in weighted_basis(m) if e is not None]
-    den = 1
-    for _, uu in kept:
-        den = _lcm(den, uu)
+    den = math.lcm(*(uu for _, uu in kept))
     num = [[0] * n for _ in range(n)]
     for u, uu in kept:
         c = den // uu
@@ -581,7 +559,7 @@ def is_nnd(m: RatMatrix) -> bool:
             arow = a[pivot]
             for j in active:
                 row[j] = d * row[j] - ci * arow[j]
-        g = _content(a[i][j] for i in active for j in active)
+        g = math.gcd(*(a[i][j] for i in active for j in active))
         if g > 1:
             for i in active:
                 row = a[i]
@@ -614,7 +592,7 @@ def primitive_columns(m: RatMatrix) -> list[list[int]]:
     out: list[list[int]] = []
     for j in range(m.ncols):
         col = [m._num[i][j] for i in range(m.nrows)]
-        g = _content(col)
+        g = math.gcd(*col)
         if g > 1:
             col = [v // g for v in col]
         lead = next((v for v in col if v), 0)

@@ -17,6 +17,7 @@ followed by the effect's, so the two fits are nested by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -37,7 +38,6 @@ from .exactlin import (
     Projector,
     RatMatrix,
     Subspace,
-    column_vector,
     projector,
     weighted_basis,
 )
@@ -91,12 +91,23 @@ def _check_pair(x: RatMatrix, g: RatMatrix) -> None:
         )
 
 
+def _int_vector(y: Sequence[Fraction | int | str]) -> tuple[list[int], int]:
+    """y as integer numerators over their least common denominator."""
+    ys = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in y]
+    den = math.lcm(*(v.denominator for v in ys))
+    return [v.numerator * (den // v.denominator) for v in ys], den
+
+
 def quad_form(y: Sequence[Fraction | int | str], p: RatMatrix) -> Fraction:
-    """y' P y as an exact rational."""
-    yv = column_vector(y)
-    if yv.nrows != p.nrows:
+    """y' P y as an exact rational, from integer sums: y's numerators
+    over its common denominator d and P's over its own, so
+    y'Py = sum_i y_i (P y)_i / (den_P d^2)."""
+    ys, d = _int_vector(y)
+    if p.shape != (len(ys), len(ys)):
         raise ValueError("response length does not match the matrix")
-    return (yv.transpose() @ p @ yv).entry(0, 0)
+    rows, den = p.int_rows()
+    total = sum(yi * sum(map(mul, row, ys)) for yi, row in zip(ys, rows) if yi)
+    return Fraction(total, den * d * d)
 
 
 def restriction_nullbasis(g: RatMatrix) -> RatMatrix:
@@ -113,9 +124,18 @@ def rmfm_projector(x: RatMatrix, g: RatMatrix) -> Projector:
 
 
 def sse(y: Sequence[Fraction | int | str], x: RatMatrix) -> Fraction:
-    """Residual sum of squares of y against the column space of x."""
-    resid = projector(x).complement()
-    return quad_form(y, resid.matrix)
+    """Residual sum of squares of y against the column space of x:
+    y'y - sum (u'y)^2/(u'u) over the orthogonal basis u of
+    `weighted_basis(x)`, with no projector formed.  Summed over the
+    integers, with l = lcm(u'u) and y's numerators over its common
+    denominator d."""
+    ys, d = _int_vector(y)
+    if len(ys) != x.nrows:
+        raise ValueError("response length does not match the matrix")
+    kept = [e for e in weighted_basis(x) if e is not None]
+    l = math.lcm(*(uu for _, uu in kept))
+    fitted = sum(sum(map(mul, u, ys)) ** 2 * (l // uu) for u, uu in kept)
+    return Fraction(sum(map(mul, ys, ys)) * l - fitted, l * d * d)
 
 
 def estimable_part(x: RatMatrix, g: RatMatrix) -> Subspace:
@@ -186,8 +206,7 @@ class AnovaPlan:
                  scheme: ContrastScheme | None = None):
         if len(y) != layout.n:
             raise ValueError(f"need {layout.n} responses, got {len(y)}")
-        rows, den = column_vector(y).int_rows()
-        ys = [v for (v,) in rows]
+        ys, den = _int_vector(y)
         cells = iter(ys)
         totals = [sum(islice(cells, nc)) for nc in layout.counts]
         fitted = sum(Fraction(tc * tc, nc) for tc, nc in zip(totals, layout.counts) if nc)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import fdist
-from .dominance import auxiliary_projector, check_dominance
+from .dominance import check_dominance
 from .effects import (
     ContrastScheme,
     EffectId,
@@ -296,8 +296,7 @@ def verify_prop2(seed: int = DEFAULT_SEED, trials: int = 200) -> list[Check]:
         if not rpt.df_bounds_hold:
             df_ok = False
             first_fail = first_fail or f"trial {trial}: df sandwich fails"
-        q = auxiliary_projector(x, h, l)
-        if not (q.is_symmetric and q @ q == q):
+        if not rpt.aux_idempotent:
             aux_ok = False
             first_fail = first_fail or f"trial {trial}: auxiliary matrix not idempotent"
     return [
@@ -319,65 +318,67 @@ def verify_prop3(
     projector's range, and dropping one effect's block lands exactly on
     the intersection with that effect's orthogonal complement.  Also
     checks that a second contrast family spans identically."""
-    checks: list[Check] = []
-    for dims in dims_list:
-        f = len(dims)
-        ambient = 1
-        for d in dims:
-            ambient *= d
-        effs = all_effects(f)
-        blocks = {e: c_block(e, dims) for e in effs}
-        h_mats = {e: h_projector(e, dims).matrix for e in effs}
-        comp_h = {e: h_mats[e].colspace.complement() for e in effs}
-        alt = difference_scheme(dims)
-        alt_blocks = {e: c_block(e, dims, alt) for e in effs}
-        span_ok = removal_ok = scheme_ok = True
-        detail = ""
-        span_cache: dict[frozenset[EffectId], Subspace] = {}
+    return [check for dims in dims_list for check in _prop3_checks(dims)]
 
-        def span_of(subset: frozenset[EffectId], n=ambient) -> Subspace:
-            if not subset:
-                return Subspace.zero(n)
-            if subset not in span_cache:
-                span_cache[subset] = RatMatrix.hstack(
-                    *(blocks[e] for e in effs if e in subset)
-                ).colspace
-            return span_cache[subset]
 
-        for r in range(1, len(effs) + 1):
-            for combo in itertools.combinations(effs, r):
-                subset = frozenset(combo)
-                s_c = span_of(subset)
-                h_sum = RatMatrix.zeros(ambient, ambient)
-                for e in combo:
-                    h_sum = h_sum + h_mats[e]
-                if s_c != h_sum.colspace:
-                    span_ok = False
-                    detail = detail or f"span mismatch at subset {{{','.join(map(str, combo))}}}"
-                alt_c = RatMatrix.hstack(*(alt_blocks[e] for e in effs if e in subset))
-                if alt_c.colspace != s_c:
-                    scheme_ok = False
-                    detail = detail or f"scheme dependence at subset {{{','.join(map(str, combo))}}}"
-                for star in combo:
-                    got = s_c.intersect(comp_h[star])
-                    want = span_of(subset - {star})
-                    if got != want:
-                        removal_ok = False
-                        detail = detail or (
-                            f"removal mismatch at subset {{{','.join(map(str, combo))}}} minus {star}"
-                        )
-        label = "x".join(map(str, dims))
-        nsubsets = 2 ** len(effs) - 1
-        checks.append(
-            Check(f"prop3 dims {label}: blocks span the summed projector ({nsubsets} subsets)", span_ok, detail if not span_ok else "")
-        )
-        checks.append(
-            Check(f"prop3 dims {label}: dropping a block hits the complement intersection", removal_ok, detail if not removal_ok else "")
-        )
-        checks.append(
-            Check(f"prop3 dims {label}: second contrast family spans identically", scheme_ok, detail if not scheme_ok else "")
-        )
-    return checks
+def _prop3_checks(dims: tuple[int, ...]) -> list[Check]:
+    """The three prop3 checks for one layout.  Its caches are local, so
+    they are freed before the next layout is built."""
+    f = len(dims)
+    ambient = 1
+    for d in dims:
+        ambient *= d
+    effs = all_effects(f)
+    blocks = {e: c_block(e, dims) for e in effs}
+    h_mats = {e: h_projector(e, dims).matrix for e in effs}
+    comp_h = {e: h_mats[e].colspace.complement() for e in effs}
+    alt = difference_scheme(dims)
+    alt_blocks = {e: c_block(e, dims, alt) for e in effs}
+    span_ok = removal_ok = scheme_ok = True
+    detail = ""
+    span_cache: dict[frozenset[EffectId], Subspace] = {}
+    # h_sum of each subset, as the h_sum of its prefix plus one term;
+    # only the previous subset size is kept
+    h_prev: dict[tuple[EffectId, ...], RatMatrix] = {(): RatMatrix.zeros(ambient, ambient)}
+
+    def span_of(subset: frozenset[EffectId]) -> Subspace:
+        if not subset:
+            return Subspace.zero(ambient)
+        if subset not in span_cache:
+            span_cache[subset] = RatMatrix.hstack(
+                *(blocks[e] for e in effs if e in subset)
+            ).colspace
+        return span_cache[subset]
+
+    for r in range(1, len(effs) + 1):
+        h_cur: dict[tuple[EffectId, ...], RatMatrix] = {}
+        for combo in itertools.combinations(effs, r):
+            subset = frozenset(combo)
+            s_c = span_of(subset)
+            h_sum = h_cur[combo] = h_prev[combo[:-1]] + h_mats[combo[-1]]
+            if s_c != h_sum.colspace:
+                span_ok = False
+                detail = detail or f"span mismatch at subset {{{','.join(map(str, combo))}}}"
+            alt_c = RatMatrix.hstack(*(alt_blocks[e] for e in effs if e in subset))
+            if alt_c.colspace != s_c:
+                scheme_ok = False
+                detail = detail or f"scheme dependence at subset {{{','.join(map(str, combo))}}}"
+            for star in combo:
+                got = s_c.intersect(comp_h[star])
+                want = span_of(subset - {star})
+                if got != want:
+                    removal_ok = False
+                    detail = detail or (
+                        f"removal mismatch at subset {{{','.join(map(str, combo))}}} minus {star}"
+                    )
+        h_prev = h_cur
+    label = "x".join(map(str, dims))
+    nsubsets = 2 ** len(effs) - 1
+    return [
+        Check(f"prop3 dims {label}: blocks span the summed projector ({nsubsets} subsets)", span_ok, detail if not span_ok else ""),
+        Check(f"prop3 dims {label}: dropping a block hits the complement intersection", removal_ok, detail if not removal_ok else ""),
+        Check(f"prop3 dims {label}: second contrast family spans identically", scheme_ok, detail if not scheme_ok else ""),
+    ]
 
 
 # -- suite: float distribution sanity --------------------------------------

@@ -50,13 +50,14 @@ def test_subspace_calculus_has_method_spelling_only():
 
 def test_names_without_a_caller_stay_deleted():
     modules = {name: importlib.import_module(f"exanova.{name}")
-               for name in ("hypotest", "effects", "cli", "exactlin")}
+               for name in ("hypotest", "effects", "cli", "exactlin", "dominance")}
     deleted = {
         "hypotest": ("LinearModel", "HypothesisSpec", "ParamPoint", "ncp", "f_statistic",
                      "adjust_rhs", "rmfm_ss", "_cell_fit"),
         "effects": ("contrast_matrix", "model_matrix"),
         "cli": ("serialize_dataset",),
         "exactlin": ("weighted_fit",),
+        "dominance": ("auxiliary_projector",),
     }
     for modname, names in deleted.items():
         for name in names:
@@ -65,6 +66,7 @@ def test_names_without_a_caller_stay_deleted():
     assert not hasattr(exactlin.RatMatrix, "T")
     assert not hasattr(exactlin.RatMatrix, "to_rows")
     assert not hasattr(exactlin.RatMatrix, "diagonal")
+    assert not hasattr(exactlin.RatMatrix, "__neg__")
     assert not hasattr(exactlin.Projector, "identity")
     assert not hasattr(exanova.DominanceReport, "all_hold")
 

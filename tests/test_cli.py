@@ -264,7 +264,7 @@ class TestAnovaCommand:
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_all_types_share_one_plan(self, tmp_path, monkeypatch):
-        calls = {"projector": 0, "column_vector": 0}
+        calls = {"projector": 0, "_int_vector": 0}
 
         def counted(name):
             original = getattr(hypotest, name)
@@ -282,7 +282,7 @@ class TestAnovaCommand:
         assert code == 0
         assert out.count("testing target") == 3
         # the report-model projector and the exact response are built once per call
-        assert calls == {"projector": 1, "column_vector": 1}
+        assert calls == {"projector": 1, "_int_vector": 1}
 
 
 class TestVerifyCommand:

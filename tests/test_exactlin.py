@@ -95,6 +95,30 @@ def int_matrices(draw):
     return RatMatrix(draw(int_rows(nrows, r))) @ RatMatrix(draw(int_rows(r, ncols)))
 
 
+@st.composite
+def wide_int_matrices(draw):
+    """Rank-deficient integer matrices up to 8 x 8 with entries up to 2^80,
+    some with a zero leading column or row and some whose first pivot,
+    of the matrix and of its transpose, is negative."""
+    nrows = draw(st.integers(1, 8))
+    ncols = draw(st.integers(1, 8))
+    bound = draw(st.sampled_from((4, 2**40, 2**80)))
+    r = draw(st.integers(1, max(1, min(nrows, ncols) - 1)))
+    a = draw(st.lists(st.lists(st.integers(-bound, bound), min_size=r, max_size=r),
+                      min_size=nrows, max_size=nrows))
+    b = draw(int_rows(r, ncols))
+    rows = [[sum(x * y for x, y in zip(ra, cb)) for cb in zip(*b)] for ra in a]
+    lead = draw(st.sampled_from(("any", "zero column", "zero row", "negative")))
+    if lead == "zero column":
+        for row in rows:
+            row[0] = 0
+    elif lead == "zero row":
+        rows[0] = [0] * ncols
+    elif lead == "negative" and rows[0][0] > 0:
+        rows[0] = [-v for v in rows[0]]
+    return RatMatrix(rows)
+
+
 def random_matrix(rng, nrows, ncols, lo=-4, hi=4, max_rank=None):
     if max_rank is None:
         return RatMatrix.from_rows(
@@ -215,6 +239,27 @@ class TestColspace:
         assert [
             [got.basis.entry(i, j) for i in range(m.ncols)] for j in range(got.dim)
         ] == slow_canonical_colspace(spanning)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(m=wide_int_matrices())
+    def test_wide_entries_match_fraction_oracles(self, m):
+        col = m.colspace
+        assert [
+            [col.basis.entry(i, j) for i in range(m.nrows)] for j in range(col.dim)
+        ] == slow_canonical_colspace(m)
+        ker = m.nullspace
+        vecs = slow_kernel_basis(m)
+        assert ker.dim == len(vecs)
+        if vecs:
+            spanning = RatMatrix.from_rows([list(r) for r in zip(*vecs)])
+            assert [
+                [ker.basis.entry(i, j) for i in range(m.ncols)] for j in range(ker.dim)
+            ] == slow_canonical_colspace(spanning)
+        # both bases are built as already reduced; the public constructor,
+        # which reduces by the gcd, must give the same matrix
+        for s in (col, ker):
+            if s.dim:
+                assert RatMatrix(*s.basis.int_rows()) == s.basis
 
     def test_same_span_same_basis(self):
         rng = random.Random(7)

@@ -169,6 +169,46 @@ class TestRmfmSs:
             assert direct >= 0
 
 
+class TestSseAndQuadForm:
+    """The integer-sum routes against the projector route they replace."""
+
+    @staticmethod
+    def fractional_response(rng, n):
+        # odd over even: no entry reduces to an integer
+        return [F(rng.randrange(-9, 10, 2), rng.choice((2, 4, 6, 10))) for _ in range(n)]
+
+    def test_match_projector_route(self):
+        rng = random.Random(58)
+        for _ in range(40):
+            x = random_model(rng)
+            n = x.nrows
+            y = self.fractional_response(rng, n)
+            yv = column_vector(y)
+            p = projector(x).matrix
+            general = random_matrix(rng, n, n).scale(F(rng.randint(1, 5), rng.randint(1, 7)))
+            for mat in (p, general):
+                assert quad_form(y, mat) == (yv.transpose() @ mat @ yv).entry(0, 0)
+            resid = RatMatrix.identity(n) - p
+            assert sse(y, x) == (yv.transpose() @ resid @ yv).entry(0, 0)
+
+    def test_zero_column_design_leaves_everything(self):
+        y = [F(1, 2), 3, F(-5, 4)]
+        assert sse(y, RatMatrix.zeros(3, 0)) == sum(v * v for v in y)
+        assert sse(y, RatMatrix.zeros(3, 2)) == sum(v * v for v in y)
+        assert quad_form(y, RatMatrix.zeros(3, 3)) == 0
+
+    @pytest.mark.parametrize("y", [[], [1, 2], [1, 2, 3, 4]])
+    def test_length_mismatch_raises(self, y):
+        with pytest.raises(ValueError, match="response length"):
+            sse(y, RatMatrix.identity(3))
+        with pytest.raises(ValueError, match="response length"):
+            quad_form(y, RatMatrix.identity(3))
+
+    def test_non_square_matrix_raises(self):
+        with pytest.raises(ValueError, match="response length"):
+            quad_form([1, 2], RatMatrix.ones(2, 3))
+
+
 class TestEstimablePart:
     def test_full_rank_model_everything_estimable(self):
         x = RatMatrix.from_rows([[1, 0], [0, 1], [1, 1]])
