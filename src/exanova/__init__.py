@@ -35,7 +35,7 @@ from .exactlin import (
     projector,
     solve_linear,
 )
-from .fdist import FParams, f_cdf, f_quantile, power
+from .fdist import f_cdf, f_quantile, power
 from .hypotest import (
     TestResult,
     estimable_part,
@@ -74,7 +74,6 @@ __all__ = [
     "type_ss",
     "DominanceReport",
     "check_dominance",
-    "FParams",
     "f_cdf",
     "f_quantile",
     "power",

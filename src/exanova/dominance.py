@@ -60,7 +60,8 @@ def check_dominance(x: RatMatrix, h: RatMatrix, l: RatMatrix) -> DominanceReport
     p_l = projector(l)
     resid = p_x.complement()
 
-    span_recovered = (p_x.matrix @ l).colspace == h.colspace
+    pxl = (p_x.matrix @ l).colspace
+    span_recovered = pxl == h.colspace
     # sp(H) and sp(X)-perp are orthogonal, so the projector onto their sum
     # is the plain sum of projectors; containment iff it fixes L
     enlarged = p_h.matrix + resid.matrix
@@ -70,7 +71,7 @@ def check_dominance(x: RatMatrix, h: RatMatrix, l: RatMatrix) -> DominanceReport
     aux_idempotent = aux.is_symmetric and aux @ aux == aux
 
     nu_h = p_h.nu
-    nu_pxl = (p_x.matrix @ l).rank()
+    nu_pxl = pxl.dim
     nu_l = p_l.nu
     slack = n - p_x.nu
     df_bounds_hold = nu_h == nu_pxl <= nu_l <= nu_h + slack

@@ -14,7 +14,9 @@ it acts on: `m.colspace` and `m.nullspace` (cached properties),
 `m.rank()`, `m.trace()`, `s.complement()`, `s.intersect(t)` and
 `s.sum(t)`.  The module functions are the operations that are more than
 a forward to a method: `projector`, `weighted_basis`, `is_nnd`,
-`solve_linear`, `primitive_columns` and `column_vector`.
+`solve_linear`, `primitive_columns` and `column_vector`.  `m.rank()` is
+`m.colspace.dim`, and `solve_linear(a, b)` solves for every column of b
+in one reduction of `[a | b]`.
 
 The public constructor checks every entry; results built inside this
 module from rows that are already integer go through the trusted
@@ -238,19 +240,8 @@ class RatMatrix:
 
     # -- echelon machinery ----------------------------------------------
 
-    @cached_property
-    def _rref(self) -> tuple[tuple[tuple[int, ...], ...], int, tuple[int, ...]]:
-        """Reduced row echelon form of this matrix, as (pivot rows, den, pivot cols).
-
-        Denominator-free: the row space does not depend on the stored
-        denominator, so only the integer rows enter.
-        """
-        return _rref_int(list(self._num))
-
     def rank(self) -> int:
-        if self.ncols == 0:
-            return 0
-        return len(self._rref[2])
+        return self.colspace.dim
 
     @cached_property
     def colspace(self) -> "Subspace":
@@ -568,21 +559,22 @@ def is_nnd(m: RatMatrix) -> bool:
     return True
 
 
-def solve_linear(a: RatMatrix, b: RatMatrix) -> list[Fraction] | None:
-    """A particular rational solution x of a x = b, or None if inconsistent.
+def solve_linear(a: RatMatrix, b: RatMatrix) -> RatMatrix | None:
+    """A particular rational solution X of a X = b, with one column per
+    column of b, or None if any column is inconsistent.
 
-    Free variables are set to zero.
+    One reduction of [a | b]; free variables are set to zero.
     """
-    if b.ncols != 1 or b.nrows != a.nrows:
-        raise ValueError("right-hand side must be a matching column vector")
-    aug = RatMatrix.hstack(a, b)
-    rows, den, pivs = aug._rref
-    if pivs and pivs[-1] == a.ncols:
+    n = a.ncols
+    if b.nrows != a.nrows or n == 0:
+        raise ValueError("need a with columns and b with as many rows as a")
+    rows, den, pivs = _rref_int(list(RatMatrix.hstack(a, b)._num))
+    if pivs and pivs[-1] >= n:
         return None
-    x = [Fraction(0)] * a.ncols
-    for j, pc in enumerate(pivs):
-        x[pc] = Fraction(rows[j][a.ncols], den)
-    return x
+    x = [(0,) * b.ncols] * n
+    for row, pc in zip(rows, pivs):
+        x[pc] = row[n:]
+    return RatMatrix._of(x, den)
 
 
 def primitive_columns(m: RatMatrix) -> list[list[int]]:

@@ -2,11 +2,13 @@
 
 This is the only module that leaves exact arithmetic: rational test
 statistics are converted to float here, for p-values, quantiles, and
-power.  The central CDF uses the regularized incomplete beta via a
-continued fraction, which raises ArithmeticError if it does not converge.
-The p-value is the upper tail computed directly, from w = 1 - z formed
-from the statistic, not as 1 - cdf, so it keeps its relative digits down
-to about 1e-300.  The noncentral CDF is the Poisson-weighted mixture of
+power.  `f_cdf` and `p_value_from` check their arguments and split the
+statistic f the same way, into z = nu1 f/s and w = nu2/s with
+s = nu1 f + nu2, and read the lower or the upper tail of one regularized
+incomplete beta, computed by a continued fraction that raises
+ArithmeticError if it does not converge.  Because w is formed from f and
+not as 1 - z, the p-value keeps its relative digits down to about
+1e-300.  The noncentral CDF is the Poisson-weighted mixture of
 incomplete beta terms, summed outward from the Poisson mode with the
 first weight taken in log space (Benton and Krishnamoorthy 2003, CSDA
 43:249-267); each side stops on a bound of what it has left, so the
@@ -17,9 +19,8 @@ noncentral lower tail far below 1e-13 is accurate only in absolute terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-__all__ = ["FParams", "f_cdf", "f_quantile", "p_value_from", "power"]
+__all__ = ["f_cdf", "f_quantile", "p_value_from", "power"]
 
 _BETACF_TOL = 1e-14
 _BETACF_MAX_ITER = 400
@@ -27,19 +28,18 @@ _POISSON_TAIL = 1e-13
 _QUANTILE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class FParams:
-    """Degrees of freedom and noncentrality of an F distribution."""
-
-    nu1: float
-    nu2: float
-    ncp: float = 0.0
-
-    def __post_init__(self):
-        if not (self.nu1 > 0 and self.nu2 > 0):
-            raise ValueError("degrees of freedom must be positive")
-        if self.ncp < 0:
-            raise ValueError("noncentrality must be nonnegative")
+def _split(f: float, nu1: float, nu2: float, ncp: float = 0.0) -> tuple[float, float]:
+    """Check the parameters, then split f into z = nu1 f/s and w = nu2/s
+    for s = nu1 f + nu2, so a small w keeps its relative digits even
+    where z rounds to 1."""
+    if not (nu1 > 0 and nu2 > 0):
+        raise ValueError("degrees of freedom must be positive")
+    if ncp < 0:
+        raise ValueError("noncentrality must be nonnegative")
+    if f < 0:
+        raise ValueError("F statistics are nonnegative")
+    s = nu1 * f + nu2
+    return nu1 * f / s, nu2 / s
 
 
 def _betacf(a: float, b: float, x: float) -> float:
@@ -84,8 +84,9 @@ def _betacf(a: float, b: float, x: float) -> float:
 
 
 def _betainc_tails(a: float, b: float, x: float, y: float, log_y: float, upper: bool) -> float:
-    """I_x(a, b), or 1 - I_x(a, b) when `upper`, for 0 < x < 1, y = 1 - x
-    and log_y = log(y), the last two formed by the caller.
+    """I_x(a, b), or 1 - I_x(a, b) when `upper`, for x, y = 1 - x > 0 as
+    `_split` forms them (x may round to 1 while y stays positive) and
+    log_y = log(y).
 
     The continued fraction runs on the side of the mean where it converges
     fast.  The tail it gives is returned as it is, and only the other tail
@@ -107,41 +108,30 @@ def _betainc_tails(a: float, b: float, x: float, y: float, log_y: float, upper: 
     return tail if upper else 1.0 - tail
 
 
-def _betainc_reg(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b)."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    return _betainc_tails(a, b, x, 1.0 - x, math.log1p(-x), upper=False)
-
-
 def f_cdf(x: float, nu1: float, nu2: float, ncp: float = 0.0) -> float:
     """CDF of the (noncentral) F distribution at x >= 0."""
-    params = FParams(nu1, nu2, ncp)
-    if x < 0:
-        raise ValueError("F statistics are nonnegative")
-    z = params.nu1 * x / (params.nu1 * x + params.nu2)
+    z, w = _split(x, nu1, nu2, ncp)
     if z == 0.0:
         return 0.0
-    if z == 1.0:
+    if w == 0.0:
         return 1.0
-    a = params.nu1 / 2.0
-    b = params.nu2 / 2.0
-    if params.ncp == 0.0:
-        return _betainc_reg(a, b, z)
+    a = nu1 / 2.0
+    b = nu2 / 2.0
+    log_w = math.log(w)
+    if ncp == 0.0:
+        return _betainc_tails(a, b, z, w, log_w, upper=False)
     # sum_k pois_k * I_z(a + k, b), pois_k the Poisson(half) weights, summed
     # outward from the mode m, so that no weight underflows at large ncp;
     # each side stops once what it has left is below _POISSON_TAIL, which
     # takes a number of terms that grows like sqrt(ncp)
-    half = params.ncp / 2.0
+    half = ncp / 2.0
     m = math.floor(half)
     pois_m = math.exp(-half + m * math.log(half) - math.lgamma(m + 1.0))
-    ibeta_m = _betainc_reg(a + m, b, z)
+    ibeta_m = _betainc_tails(a + m, b, z, w, log_w, upper=False)
     # delta_k = I_z(a + k, b) - I_z(a + k + 1, b)
     delta_m = math.exp(
         (a + m) * math.log(z)
-        + b * math.log1p(-z)
+        + b * log_w
         + math.lgamma(a + b + m)
         - math.lgamma(a + m + 1.0)
         - math.lgamma(b)
@@ -176,7 +166,6 @@ def f_quantile(alpha: float, nu1: float, nu2: float) -> float:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be strictly between 0 and 1")
-    FParams(nu1, nu2)
     lo, hi = 0.0, 1.0
     while p_value_from(hi, nu1, nu2) > alpha:
         lo = hi
@@ -203,18 +192,13 @@ def p_value_from(f: float, nu1: float, nu2: float) -> float:
     w = 1 - z = nu2/(nu1 f + nu2) formed from f rather than from z, so p
     keeps its relative digits far below 1e-16, even when z rounds to 1.
     """
-    params = FParams(nu1, nu2)
-    if f < 0:
-        raise ValueError("F statistics are nonnegative")
-    s = params.nu1 * f + params.nu2
-    z = params.nu1 * f / s
-    w = params.nu2 / s
+    z, w = _split(f, nu1, nu2)
     if z == 0.0:
         return 1.0
     if w == 0.0:
         return 0.0
-    a = params.nu1 / 2.0
-    b = params.nu2 / 2.0
+    a = nu1 / 2.0
+    b = nu2 / 2.0
     return _betainc_tails(a, b, z, w, math.log(w), upper=True)
 
 

@@ -83,6 +83,12 @@ class Check:
         return f"{mark}  {self.name}{suffix}"
 
 
+def _checks(names: list[tuple[str, str]], first: dict[str, str]) -> list[Check]:
+    """One Check per (key, name), failed with its own first failure as the
+    detail when `first` holds one for that key."""
+    return [Check(name, key not in first, first.get(key, "")) for key, name in names]
+
+
 # -- shared random instance generators -----------------------------------
 
 
@@ -223,54 +229,41 @@ def verify_table1() -> list[Check]:
 
 
 def _independent_h(x: RatMatrix, estimable: Subspace) -> RatMatrix:
-    """Build H with sp(H) in sp(X) and X'H exactly the estimable basis, by
-    solving X'X w = e for each basis column e."""
-    gram = x.transpose() @ x
-    cols = []
-    for j in range(estimable.dim):
-        e = estimable.basis.column(j)
-        w = solve_linear(gram, e)
-        assert w is not None, "estimable columns are always in sp(X'X)"
-        cols.append(x @ column_vector(w))
-    if not cols:
-        return RatMatrix.zeros(x.nrows, 0)
-    return RatMatrix.hstack(*cols)
+    """Build H with sp(H) in sp(X) and X'H exactly the estimable basis E,
+    as X W for the solution W of X'X W = E (estimable columns are always
+    in sp(X'X))."""
+    return x @ solve_linear(x.transpose() @ x, estimable.basis)
 
 
 def verify_prop1(seed: int = DEFAULT_SEED, trials: int = 500) -> list[Check]:
     """Randomized identity suite for the extra-SSE numerator projector."""
     rng = random.Random(seed)
-    forward_ok = reverse_ok = ss_ok = shape_ok = True
-    first_fail = ""
+    first: dict[str, str] = {}
     for trial in range(trials):
         x, g = random_prop1_instance(rng)
         p_h = rmfm_projector(x, g)
         if not (p_h.matrix.is_symmetric and p_h.matrix @ p_h.matrix == p_h.matrix):
-            shape_ok = False
-            first_fail = first_fail or f"trial {trial}: projector not idempotent"
+            first.setdefault("shape", f"trial {trial}: projector not idempotent")
         left = (x.transpose() @ p_h.matrix).colspace
         right = estimable_part(x, g)
         if left != right:
-            forward_ok = False
-            first_fail = first_fail or f"trial {trial}: tested span mismatch"
+            first.setdefault("forward", f"trial {trial}: tested span mismatch")
         h = _independent_h(x, right)
         if projector(h) != p_h:
-            reverse_ok = False
-            first_fail = first_fail or f"trial {trial}: independent H gives a different projector"
+            first.setdefault("reverse", f"trial {trial}: independent H gives a different projector")
         y = [
             Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(x.nrows)
         ]
         restricted = x @ restriction_nullbasis(g)
         lhs = quad_form(y, p_h.matrix)
         if lhs != sse(y, restricted) - sse(y, x) or lhs < 0:
-            ss_ok = False
-            first_fail = first_fail or f"trial {trial}: extra-SSE routes disagree"
-    return [
-        Check(f"prop1 numerator projector symmetric idempotent ({trials} trials)", shape_ok, first_fail if not shape_ok else ""),
-        Check(f"prop1 tested span equals estimable part ({trials} trials)", forward_ok, first_fail if not forward_ok else ""),
-        Check(f"prop1 independently built H recovers the same projector ({trials} trials)", reverse_ok, first_fail if not reverse_ok else ""),
-        Check(f"prop1 quadratic form equals restricted-minus-full SSE ({trials} trials)", ss_ok, first_fail if not ss_ok else ""),
-    ]
+            first.setdefault("ss", f"trial {trial}: extra-SSE routes disagree")
+    return _checks([
+        ("shape", f"prop1 numerator projector symmetric idempotent ({trials} trials)"),
+        ("forward", f"prop1 tested span equals estimable part ({trials} trials)"),
+        ("reverse", f"prop1 independently built H recovers the same projector ({trials} trials)"),
+        ("ss", f"prop1 quadratic form equals restricted-minus-full SSE ({trials} trials)"),
+    ], first)
 
 
 # -- suite: no competing numerator is better -------------------------------
@@ -279,33 +272,27 @@ def verify_prop1(seed: int = DEFAULT_SEED, trials: int = 500) -> list[Check]:
 def verify_prop2(seed: int = DEFAULT_SEED, trials: int = 200) -> list[Check]:
     """Randomized dominance suite over constructed (X, H, L) triples."""
     rng = random.Random(seed)
-    span_ok = contain_ok = nnd_ok = df_ok = aux_ok = True
-    first_fail = ""
+    first: dict[str, str] = {}
     for trial in range(trials):
         x, h, l = random_prop2_instance(rng)
         rpt = check_dominance(x, h, l)
         if not rpt.span_recovered:
-            span_ok = False
-            first_fail = first_fail or f"trial {trial}: span not recovered"
+            first.setdefault("span", f"trial {trial}: span not recovered")
         if not rpt.containment:
-            contain_ok = False
-            first_fail = first_fail or f"trial {trial}: containment fails"
+            first.setdefault("contain", f"trial {trial}: containment fails")
         if not rpt.nnd_holds:
-            nnd_ok = False
-            first_fail = first_fail or f"trial {trial}: ncp difference not nnd"
+            first.setdefault("nnd", f"trial {trial}: ncp difference not nnd")
         if not rpt.df_bounds_hold:
-            df_ok = False
-            first_fail = first_fail or f"trial {trial}: df sandwich fails"
+            first.setdefault("df", f"trial {trial}: df sandwich fails")
         if not rpt.aux_idempotent:
-            aux_ok = False
-            first_fail = first_fail or f"trial {trial}: auxiliary matrix not idempotent"
-    return [
-        Check(f"prop2 projected competitor recovers sp(H) ({trials} trials)", span_ok, first_fail if not span_ok else ""),
-        Check(f"prop2 competitor contained in sp(H) + residual space ({trials} trials)", contain_ok, first_fail if not contain_ok else ""),
-        Check(f"prop2 noncentrality difference is nonnegative definite ({trials} trials)", nnd_ok, first_fail if not nnd_ok else ""),
-        Check(f"prop2 df sandwich nu_H <= nu_L <= nu_H + n - nu_X ({trials} trials)", df_ok, first_fail if not df_ok else ""),
-        Check(f"prop2 auxiliary projector symmetric idempotent ({trials} trials)", aux_ok, first_fail if not aux_ok else ""),
-    ]
+            first.setdefault("aux", f"trial {trial}: auxiliary matrix not idempotent")
+    return _checks([
+        ("span", f"prop2 projected competitor recovers sp(H) ({trials} trials)"),
+        ("contain", f"prop2 competitor contained in sp(H) + residual space ({trials} trials)"),
+        ("nnd", f"prop2 noncentrality difference is nonnegative definite ({trials} trials)"),
+        ("df", f"prop2 df sandwich nu_H <= nu_L <= nu_H + n - nu_X ({trials} trials)"),
+        ("aux", f"prop2 auxiliary projector symmetric idempotent ({trials} trials)"),
+    ], first)
 
 
 # -- suite: effect columns may simply be dropped ---------------------------
@@ -334,8 +321,7 @@ def _prop3_checks(dims: tuple[int, ...]) -> list[Check]:
     comp_h = {e: h_mats[e].colspace.complement() for e in effs}
     alt = difference_scheme(dims)
     alt_blocks = {e: c_block(e, dims, alt) for e in effs}
-    span_ok = removal_ok = scheme_ok = True
-    detail = ""
+    first: dict[str, str] = {}
     span_cache: dict[frozenset[EffectId], Subspace] = {}
     # h_sum of each subset, as the h_sum of its prefix plus one term;
     # only the previous subset size is kept
@@ -357,28 +343,25 @@ def _prop3_checks(dims: tuple[int, ...]) -> list[Check]:
             s_c = span_of(subset)
             h_sum = h_cur[combo] = h_prev[combo[:-1]] + h_mats[combo[-1]]
             if s_c != h_sum.colspace:
-                span_ok = False
-                detail = detail or f"span mismatch at subset {{{','.join(map(str, combo))}}}"
+                first.setdefault("span", f"span mismatch at subset {{{','.join(map(str, combo))}}}")
             alt_c = RatMatrix.hstack(*(alt_blocks[e] for e in effs if e in subset))
             if alt_c.colspace != s_c:
-                scheme_ok = False
-                detail = detail or f"scheme dependence at subset {{{','.join(map(str, combo))}}}"
+                first.setdefault("scheme", f"scheme dependence at subset {{{','.join(map(str, combo))}}}")
             for star in combo:
                 got = s_c.intersect(comp_h[star])
                 want = span_of(subset - {star})
                 if got != want:
-                    removal_ok = False
-                    detail = detail or (
-                        f"removal mismatch at subset {{{','.join(map(str, combo))}}} minus {star}"
+                    first.setdefault(
+                        "removal", f"removal mismatch at subset {{{','.join(map(str, combo))}}} minus {star}"
                     )
         h_prev = h_cur
     label = "x".join(map(str, dims))
     nsubsets = 2 ** len(effs) - 1
-    return [
-        Check(f"prop3 dims {label}: blocks span the summed projector ({nsubsets} subsets)", span_ok, detail if not span_ok else ""),
-        Check(f"prop3 dims {label}: dropping a block hits the complement intersection", removal_ok, detail if not removal_ok else ""),
-        Check(f"prop3 dims {label}: second contrast family spans identically", scheme_ok, detail if not scheme_ok else ""),
-    ]
+    return _checks([
+        ("span", f"prop3 dims {label}: blocks span the summed projector ({nsubsets} subsets)"),
+        ("removal", f"prop3 dims {label}: dropping a block hits the complement intersection"),
+        ("scheme", f"prop3 dims {label}: second contrast family spans identically"),
+    ], first)
 
 
 # -- suite: float distribution sanity --------------------------------------

@@ -50,7 +50,7 @@ def test_subspace_calculus_has_method_spelling_only():
 
 def test_names_without_a_caller_stay_deleted():
     modules = {name: importlib.import_module(f"exanova.{name}")
-               for name in ("hypotest", "effects", "cli", "exactlin", "dominance")}
+               for name in ("hypotest", "effects", "cli", "exactlin", "dominance", "fdist")}
     deleted = {
         "hypotest": ("LinearModel", "HypothesisSpec", "ParamPoint", "ncp", "f_statistic",
                      "adjust_rhs", "rmfm_ss", "_cell_fit"),
@@ -58,6 +58,7 @@ def test_names_without_a_caller_stay_deleted():
         "cli": ("serialize_dataset",),
         "exactlin": ("weighted_fit",),
         "dominance": ("auxiliary_projector",),
+        "fdist": ("FParams", "_betainc_reg"),
     }
     for modname, names in deleted.items():
         for name in names:
@@ -67,6 +68,7 @@ def test_names_without_a_caller_stay_deleted():
     assert not hasattr(exactlin.RatMatrix, "to_rows")
     assert not hasattr(exactlin.RatMatrix, "diagonal")
     assert not hasattr(exactlin.RatMatrix, "__neg__")
+    assert not hasattr(exactlin.RatMatrix, "_rref")
     assert not hasattr(exactlin.Projector, "identity")
     assert not hasattr(exanova.DominanceReport, "all_hold")
 

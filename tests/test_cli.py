@@ -1,6 +1,7 @@
 """Tests for CSV ingestion, report rendering, and the verify command."""
 
 import argparse
+import dataclasses
 import gc
 import io
 import json
@@ -9,7 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from exanova import hypotest
+from exanova import hypotest, verify
+from exanova.exactlin import Subspace
 from exanova.cli import (
     Dataset,
     InputError,
@@ -336,6 +338,53 @@ class TestVerifyCommand:
         code, out = run_cli(["verify", *argv])
         assert (code, out) == (2, "")
         assert "error: --seed and --trials only apply to the randomized" in capsys.readouterr().err
+
+    def test_each_failing_check_names_its_own_first_failure(self, monkeypatch):
+        # the SSE check fails from trial 0 and the reverse-H check from
+        # trial 1; each FAIL line must carry its own first failure
+        calls = []
+        monkeypatch.setattr(verify, "quad_form", lambda y, p: -1)
+        original = verify.projector
+
+        def projector(m):
+            calls.append(m)
+            return original(m) if len(calls) == 1 else object()
+        monkeypatch.setattr(verify, "projector", projector)
+        code, out = run_cli(["verify", "prop1", "--trials", "3"])
+        assert code == 1
+        assert "FAIL  prop1 independently built H recovers the same projector (3 trials)  " \
+               "(trial 1: independent H gives a different projector)" in out
+        assert "FAIL  prop1 quadratic form equals restricted-minus-full SSE (3 trials)  " \
+               "(trial 0: extra-SSE routes disagree)" in out
+        assert "PASS  prop1 tested span equals estimable part (3 trials)\n" in out
+
+    def test_prop2_checks_keep_their_own_first_failure(self, monkeypatch):
+        trials = []
+        original = verify.check_dominance
+
+        def check_dominance(x, h, l):
+            trials.append(None)
+            rpt = original(x, h, l)
+            if len(trials) == 1:
+                return dataclasses.replace(rpt, df_bounds_hold=False)
+            return dataclasses.replace(rpt, nnd_holds=False)
+        monkeypatch.setattr(verify, "check_dominance", check_dominance)
+        details = {c.name.split(" (")[0]: c.detail for c in verify.verify_prop2(trials=3)}
+        assert details["prop2 df sandwich nu_H <= nu_L <= nu_H + n - nu_X"] == "trial 0: df sandwich fails"
+        assert details["prop2 noncentrality difference is nonnegative definite"] == "trial 1: ncp difference not nnd"
+        assert details["prop2 projected competitor recovers sp(H)"] == ""
+
+    def test_prop3_checks_keep_their_own_first_failure(self, monkeypatch):
+        # the second family fails at the first subset, removal only at
+        # two-effect subsets
+        original = verify.c_block
+        monkeypatch.setattr(verify, "c_block", lambda e, dims, scheme=None: (
+            original(e, dims) if scheme is None else original(e, dims, scheme).scale(0)))
+        monkeypatch.setattr(Subspace, "intersect", lambda self, other: Subspace.zero(self.ambient))
+        span, removal, scheme = verify.verify_prop3(((2, 3),))
+        assert span.passed and span.detail == ""
+        assert not removal.passed and removal.detail.startswith("removal mismatch at subset {")
+        assert not scheme.passed and scheme.detail.startswith("scheme dependence at subset {")
 
     def test_dims_factor_mismatch(self):
         code, _ = run_cli(["verify", "prop3", "--factors", "2", "--dims", "2,3,2"])

@@ -459,11 +459,15 @@ class TestSolveLinear:
         a = RatMatrix.from_rows([[2, 1], [1, 3]])
         b = column_vector([5, 10])
         x = solve_linear(a, b)
-        assert a @ column_vector(x) == b
+        assert x.shape == (2, 1)
+        assert a @ x == b
 
     def test_detects_inconsistency(self):
         a = RatMatrix.from_rows([[1, 1], [1, 1]])
         assert solve_linear(a, column_vector([0, 1])) is None
+        # one inconsistent column makes the whole system inconsistent
+        b = RatMatrix.from_rows([[1, 0], [1, 1]])
+        assert solve_linear(a, b) is None
 
     def test_underdetermined_particular_solution(self):
         rng = random.Random(3)
@@ -473,4 +477,15 @@ class TestSolveLinear:
             b = a @ xtrue
             x = solve_linear(a, b)
             assert x is not None
-            assert a @ column_vector(x) == b
+            assert a @ x == b
+
+    def test_many_right_hand_sides_match_one_at_a_time(self):
+        rng = random.Random(8)
+        for _ in range(30):
+            a = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 6))
+            b = a @ random_matrix(rng, a.ncols, rng.randint(0, 4))
+            x = solve_linear(a, b)
+            assert x is not None and x.shape == (a.ncols, b.ncols)
+            assert a @ x == b
+            for j in range(b.ncols):
+                assert solve_linear(a, b.column(j)) == x.column(j)

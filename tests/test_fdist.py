@@ -5,7 +5,7 @@ import math
 import pytest
 
 from exanova import fdist
-from exanova.fdist import FParams, f_cdf, f_quantile, p_value_from, power
+from exanova.fdist import f_cdf, f_quantile, p_value_from, power
 
 
 class TestCdf:
@@ -35,24 +35,41 @@ class TestCdf:
         x, nu1, nu2, ncp = 3.0, 2.0, 10.0, 4.0
         val = f_cdf(x, nu1, nu2, ncp)
         assert 0.0 < val < 1.0
-        # Poisson mixture evaluated with explicit incomplete beta calls
-        from exanova.fdist import _betainc_reg
-
+        # Poisson mixture evaluated with scipy's incomplete beta, so the
+        # series is not checked against its own code
+        special = pytest.importorskip("scipy.special")
         z = nu1 * x / (nu1 * x + nu2)
         total = 0.0
         w = math.exp(-ncp / 2)
         for k in range(200):
-            total += w * _betainc_reg(nu1 / 2 + k, nu2 / 2, z)
+            total += w * float(special.betainc(nu1 / 2 + k, nu2 / 2, z))
             w *= (ncp / 2) / (k + 1)
         assert abs(val - total) < 1e-12
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             f_cdf(-1.0, 2, 3)
-        with pytest.raises(ValueError):
-            f_cdf(1.0, 0, 3)
-        with pytest.raises(ValueError):
-            FParams(2, 3, -1.0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda nu1, nu2: f_cdf(1.0, nu1, nu2, 1.0),
+            lambda nu1, nu2: p_value_from(1.0, nu1, nu2),
+            lambda nu1, nu2: f_quantile(0.05, nu1, nu2),
+            lambda nu1, nu2: power(0.05, nu1, nu2, 1.0),
+        ],
+        ids=["f_cdf", "p_value_from", "f_quantile", "power"],
+    )
+    def test_bad_df_raises(self, call):
+        for nu1, nu2 in ((0, 3), (2, 0), (-1, 3), (2, -0.5), (math.nan, 3)):
+            with pytest.raises(ValueError, match="degrees of freedom must be positive"):
+                call(nu1, nu2)
+
+    def test_bad_ncp_raises(self):
+        with pytest.raises(ValueError, match="noncentrality must be nonnegative"):
+            f_cdf(1.0, 2, 3, -1.0)
+        with pytest.raises(ValueError, match="noncentrality must be nonnegative"):
+            power(0.05, 2, 3, -1.0)
 
 
 class TestQuantile:
