@@ -31,6 +31,7 @@ from .exactlin import (
     Subspace,
     column_vector,
     is_nnd,
+    is_projector,
     primitive_columns,
     projector,
     solve_linear,
@@ -53,6 +54,7 @@ __all__ = [
     "Subspace",
     "Projector",
     "projector",
+    "is_projector",
     "is_nnd",
     "solve_linear",
     "primitive_columns",

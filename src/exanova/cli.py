@@ -21,7 +21,7 @@ from .exactlin import RatMatrix, primitive_columns
 from .hypotest import AnovaPlan, TestResult, type_model_set
 from . import verify as verify_mod
 
-__all__ = ["Dataset", "RunConfig", "parse_dataset", "main"]
+__all__ = ["Dataset", "parse_dataset", "main"]
 
 EFFECT_LABELS = {"A": (1, 0), "B": (0, 1), "AB": (1, 1)}
 MODEL_PRESETS = {
@@ -33,6 +33,8 @@ MODEL_PRESETS = {
 # in magnitude, is refused before Fraction builds its integers
 MAX_RESPONSE_CHARS = 100
 MAX_RESPONSE_EXPONENT = 100
+# prop3 enumerates all 2^(2^f) - 1 effect subsets of f factors: 65535 at 4
+MAX_PROP3_FACTORS = 4
 
 
 class InputError(Exception):
@@ -133,16 +135,6 @@ def parse_dataset(text: str) -> Dataset:
     return Dataset(factor_names, tuple(labels), tuple(response))
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved anova options that the reports print: the model the
-    targets are reported in, and the effect's label."""
-
-    model_set: frozenset[EffectId]
-    model_label: str
-    effect_label: str
-
-
 def _read_input(path: str, parse):
     """parse(text of the file at `path`); a file that cannot be read, is
     not UTF-8 or is not valid JSON fails with a message naming it."""
@@ -203,9 +195,9 @@ def _frac_json(value: Fraction) -> dict:
     return {"num": value.numerator, "den": value.denominator, "float": float(value)}
 
 
-def _entry_json(t: int, cfg: RunConfig, res: TestResult) -> dict:
+def _entry_json(t: int, effect_label: str, res: TestResult) -> dict:
     return {
-        "effect": cfg.effect_label,
+        "effect": effect_label,
         "type": t,
         "ss": _frac_json(res.ss_num),
         "df": res.nu_num,
@@ -250,7 +242,8 @@ def _combo_terms(coeffs: list[int], pattern: str) -> str:
     return " ".join(parts)
 
 
-def _render_table(cfg: RunConfig, plan: AnovaPlan, entries: list[tuple[int, TestResult]],
+def _render_table(model_set: frozenset[EffectId], model_label: str, effect_label: str,
+                  plan: AnovaPlan, entries: list[tuple[int, TestResult]],
                   skipped: list[tuple[int, str]]) -> str:
     layout = plan.layout
     a, b = layout.dims
@@ -258,24 +251,25 @@ def _render_table(cfg: RunConfig, plan: AnovaPlan, entries: list[tuple[int, Test
     lines.append(f"layout: {a}x{b} cells, n={layout.n}")
     grid = layout.grid()
     lines.append("counts: " + " | ".join(" ".join(str(v) for v in row) for row in grid))
-    effs = ",".join(str(e) for e in sorted(cfg.model_set, key=EffectId.sort_key))
-    lines.append(f"model: {cfg.model_label} (effects {effs})")
-    lines.append(f"effect: {cfg.effect_label}")
+    effs = ",".join(str(e) for e in sorted(model_set, key=EffectId.sort_key))
+    lines.append(f"model: {model_label} (effects {effs})")
+    lines.append(f"effect: {effect_label}")
     lines.append(f"denominator: saturated-model residual, SS = {plan.ss_den}, df = {plan.nu_den}")
     lines.append("")
-    lines.append(f"{'type':<6}{'SS':<18}{'df':<4}{'F':<18}{'p':<12}{'target dim'}")
+    # every fixed-width field ends in a space, however long its value
+    lines.append(f"{'type':<5} {'SS':<17} {'df':<3} {'F':<17} {'p':<11} target dim")
     for t, res in entries:
         fstr = str(res.f_value) if res.f_value is not None else "undefined"
         pstr = f"{res.p_value:.6g}" if res.p_value is not None else "undefined"
         dim = res.estimable_part.dim
-        lines.append(f"{t:<6}{str(res.ss_num):<18}{res.nu_num:<4}{fstr:<18}{pstr:<12}{dim}")
+        lines.append(f"{t:<5} {str(res.ss_num):<17} {res.nu_num:<3} {fstr:<17} {pstr:<11} {dim}")
     for t, reason in skipped:
-        lines.append(f"{t:<6}skipped: {reason}")
+        lines.append(f"{t:<5} skipped: {reason}")
     for t, res in entries:
         cols = primitive_columns(res.estimable_part.basis)
         lines.append("")
         lines.append(
-            f"type {t} testing target in model '{cfg.model_label}' "
+            f"type {t} testing target in model '{model_label}' "
             f"({len(cols)} column(s), shown as {a}x{b} cell arrays):"
         )
         if not cols:
@@ -306,7 +300,6 @@ def cmd_anova(args: argparse.Namespace) -> int:
         types = (1, 2, 3) if args.type == "all" else (int(args.type),)
         layout, y = ds.layout_and_response()
         plan = AnovaPlan(layout, y, scheme)
-        cfg = RunConfig(model_set, model_label, effect_label)
         entries: list[tuple[int, TestResult]] = []
         skipped: list[tuple[int, str]] = []
         for t in types:
@@ -320,15 +313,15 @@ def cmd_anova(args: argparse.Namespace) -> int:
         if args.output == "json":
             doc = {
                 "layout": {"dims": list(layout.dims), "counts": layout.grid(), "n": layout.n},
-                "model": cfg.model_label,
-                "effect": cfg.effect_label,
+                "model": model_label,
+                "effect": effect_label,
                 "denominator": {"ss": _frac_json(plan.ss_den), "df": plan.nu_den},
-                "tests": [_entry_json(t, cfg, res) for t, res in entries],
+                "tests": [_entry_json(t, effect_label, res) for t, res in entries],
                 "skipped": [{"type": t, "reason": r} for t, r in skipped],
             }
             report = json.dumps(doc, indent=2) + "\n"
         else:
-            report = _render_table(cfg, plan, entries, skipped)
+            report = _render_table(model_set, model_label, effect_label, plan, entries, skipped)
     # a value too large for a float, or too long for str(), fails here too
     except (InputError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -374,7 +367,6 @@ def _adhoc_dominance(path: str) -> list["verify_mod.Check"]:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     target = args.target
-    seed = args.seed if args.seed is not None else verify_mod.DEFAULT_SEED
     checks: list[verify_mod.Check] = []
     try:
         if args.matrices and target not in ("prop2", "dominance"):
@@ -387,18 +379,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
                              "(dominance) and all suites, not to --matrices")
         if args.trials is not None and args.trials < 1:
             raise InputError(f"--trials must be at least 1, got {args.trials}")
+        # given flags only: the suites' signatures hold the defaults
+        opts = {k: v for k, v in (("seed", args.seed), ("trials", args.trials)) if v is not None}
+        dims_list = _prop3_dims(args) if target in ("prop3", "all") else ()
         if target in ("table1", "all"):
             checks.extend(verify_mod.verify_table1())
         if target in ("prop1", "all"):
-            trials = 500 if args.trials is None else args.trials
-            checks.extend(verify_mod.verify_prop1(seed=seed, trials=trials))
+            checks.extend(verify_mod.verify_prop1(**opts))
         if target in ("prop2", "dominance") and args.matrices:
             checks.extend(_adhoc_dominance(args.matrices))
         elif target in ("prop2", "dominance", "all"):
-            trials = 200 if args.trials is None else args.trials
-            checks.extend(verify_mod.verify_prop2(seed=seed, trials=trials))
-        if target in ("prop3", "all"):
-            dims_list = _prop3_dims(args)
+            checks.extend(verify_mod.verify_prop2(**opts))
+        if dims_list:
             checks.extend(verify_mod.verify_prop3(dims_list=dims_list))
         if target in ("fdist", "all"):
             checks.extend(verify_mod.verify_fdist())
@@ -420,6 +412,11 @@ def _prop3_dims(args: argparse.Namespace) -> tuple[tuple[int, ...], ...]:
             raise InputError(f"cannot parse --dims {args.dims!r}; want e.g. 2,3,2") from None
         if any(d < 1 for d in dims):
             raise InputError("--dims entries must be positive")
+        if len(dims) > MAX_PROP3_FACTORS:
+            raise InputError(
+                f"--dims has {len(dims)} factors, at most {MAX_PROP3_FACTORS} allowed: prop3 checks "
+                f"all 2^(2^f) - 1 effect subsets, 4294967295 already at f = 5"
+            )
         if args.factors is not None and args.factors != len(dims):
             raise InputError("--factors disagrees with the number of --dims entries")
         return (dims,)

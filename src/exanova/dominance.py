@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactlin import RatMatrix, is_nnd, projector
+from .exactlin import RatMatrix, is_nnd, is_projector, projector
 
 __all__ = ["DominanceReport", "check_dominance"]
 
@@ -58,17 +58,15 @@ def check_dominance(x: RatMatrix, h: RatMatrix, l: RatMatrix) -> DominanceReport
 
     p_h = projector(h)
     p_l = projector(l)
-    resid = p_x.complement()
 
     pxl = (p_x.matrix @ l).colspace
     span_recovered = pxl == h.colspace
     # sp(H) and sp(X)-perp are orthogonal, so the projector onto their sum
     # is the plain sum of projectors; containment iff it fixes L
-    enlarged = p_h.matrix + resid.matrix
+    enlarged = p_h.matrix + (RatMatrix.identity(n) - p_x.matrix)
     containment = enlarged @ l == l
     nnd_holds = is_nnd(xt @ p_h.matrix @ x - xt @ p_l.matrix @ x)
-    aux = enlarged - p_l.matrix
-    aux_idempotent = aux.is_symmetric and aux @ aux == aux
+    aux_idempotent = is_projector(enlarged - p_l.matrix)
 
     nu_h = p_h.nu
     nu_pxl = pxl.dim

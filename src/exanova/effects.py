@@ -87,7 +87,7 @@ def u_matrix(m: int) -> Projector:
     """Averaging projector onto the span of the all-ones vector."""
     if m < 1:
         raise ValueError("need at least one level")
-    return Projector(RatMatrix([[1] * m] * m, m), check=False)
+    return Projector(RatMatrix([[1] * m] * m, m))
 
 
 def s_matrix(m: int) -> Projector:
@@ -95,7 +95,7 @@ def s_matrix(m: int) -> Projector:
     if m < 1:
         raise ValueError("need at least one level")
     num = [[m - 1 if i == j else -1 for j in range(m)] for i in range(m)]
-    return Projector(RatMatrix(num, m), check=False)
+    return Projector(RatMatrix(num, m))
 
 
 def h_projector(effect: EffectId, dims: Sequence[int]) -> Projector:
@@ -109,7 +109,7 @@ def h_projector(effect: EffectId, dims: Sequence[int]) -> Projector:
         block = (s_matrix(m) if bit else u_matrix(m)).matrix
         out = block if out is None else out.kron(block)
     assert out is not None
-    return Projector(out, check=False)
+    return Projector(out)
 
 
 def helmert_contrast(m: int) -> RatMatrix:

@@ -13,10 +13,15 @@ Each operation of the subspace calculus has one spelling, on the value
 it acts on: `m.colspace` and `m.nullspace` (cached properties),
 `m.rank()`, `m.trace()`, `s.complement()`, `s.intersect(t)` and
 `s.sum(t)`.  The module functions are the operations that are more than
-a forward to a method: `projector`, `weighted_basis`, `is_nnd`,
-`solve_linear`, `primitive_columns` and `column_vector`.  `m.rank()` is
-`m.colspace.dim`, and `solve_linear(a, b)` solves for every column of b
-in one reduction of `[a | b]`.
+a forward to a method: `projector`, `weighted_basis`, `is_projector`,
+`is_nnd`, `solve_linear`, `primitive_columns` and `column_vector`.
+`m.rank()` is `m.colspace.dim`, and `solve_linear(a, b)` solves for
+every column of b in one reduction of `[a | b]`.
+
+A `Projector` is a record of a projection matrix and its rank, the
+trace.  It does not check what it is given: `projector(m)` builds one
+that is a projector by construction, and `is_projector` is the one
+exact check, which `verify` makes.
 
 The public constructor checks every entry; results built inside this
 module from rows that are already integer go through the trusted
@@ -45,6 +50,7 @@ __all__ = [
     "Projector",
     "projector",
     "weighted_basis",
+    "is_projector",
     "is_nnd",
     "solve_linear",
     "primitive_columns",
@@ -413,42 +419,25 @@ class Subspace:
 
 
 class Projector:
-    """Orthogonal projection matrix: symmetric, idempotent, integer trace."""
+    """An orthogonal projection matrix and its rank `nu` (the trace).
+
+    A plain record that trusts its builder to pass a symmetric idempotent
+    matrix; `is_projector` is the check, and `verify` makes it.
+    """
 
     __slots__ = ("matrix", "nu")
 
-    def __init__(self, matrix: RatMatrix, *, check: bool = True):
-        if check:
-            if not matrix.is_square:
-                raise ValueError("projector matrix must be square")
-            if not matrix.is_symmetric:
-                raise ValueError("projector matrix must be symmetric")
-            if matrix @ matrix != matrix:
-                raise ValueError("projector matrix must be idempotent")
-        tr = matrix.trace()
-        if tr.denominator != 1 or tr < 0:
-            raise ValueError("projector trace must be a nonnegative integer")
+    def __init__(self, matrix: RatMatrix):
         self.matrix = matrix
-        self.nu = int(tr)
-
-    @classmethod
-    def zero(cls, n: int) -> "Projector":
-        return cls(RatMatrix.zeros(n, n), check=False)
-
-    @property
-    def ambient(self) -> int:
-        return self.matrix.nrows
-
-    def complement(self) -> "Projector":
-        return Projector(RatMatrix.identity(self.ambient) - self.matrix, check=False)
+        self.nu = int(matrix.trace())
 
     def minus(self, other: "Projector") -> "Projector":
         """Difference of nested projectors; requires sp(other) inside sp(self)."""
-        if self.ambient != other.ambient:
+        if self.matrix.shape != other.matrix.shape:
             raise ValueError("ambient dimension mismatch")
         if self.matrix @ other.matrix != other.matrix:
             raise ValueError("projector difference requires nested ranges")
-        return Projector(self.matrix - other.matrix, check=False)
+        return Projector(self.matrix - other.matrix)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Projector):
@@ -459,7 +448,7 @@ class Projector:
         return hash(self.matrix)
 
     def __repr__(self) -> str:
-        return f"Projector(rank {self.nu} on R^{self.ambient})"
+        return f"Projector(rank {self.nu} on R^{self.matrix.nrows})"
 
 
 def weighted_basis(m: RatMatrix, weights: Sequence[int] | None = None) -> list[tuple[list[int], int] | None]:
@@ -514,7 +503,13 @@ def projector(m: RatMatrix) -> Projector:
                 for j, uj in enumerate(u):
                     if uj:
                         row[j] += cui * uj
-    return Projector(RatMatrix._of(num, den), check=False)
+    return Projector(RatMatrix._of(num, den))
+
+
+def is_projector(m: RatMatrix) -> bool:
+    """Exact test that m is an orthogonal projection matrix: symmetric
+    (hence square) and idempotent."""
+    return m.is_symmetric and m @ m == m
 
 
 def is_nnd(m: RatMatrix) -> bool:

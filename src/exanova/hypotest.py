@@ -151,7 +151,7 @@ def estimable_part(x: RatMatrix, g: RatMatrix) -> Subspace:
 def testing_target(m: RatMatrix, k: RatMatrix, p: Projector) -> Subspace:
     """What a numerator SS tests about the cell means, in the model
     whose cell-mean matrix is m: the span of P_m K' P."""
-    if k.nrows != p.ambient:
+    if k.nrows != p.matrix.nrows:
         raise ValueError("incidence rows must match the projector's space")
     if k.ncols != m.nrows:
         raise ValueError("incidence columns must match the cell-mean model rows")
@@ -187,11 +187,9 @@ def type_numerator(
     k = incidence(layout)
     full = projector(k @ effect_model_matrix(model_set, layout.dims, scheme))
     rest = model_set - {effect}
-    if rest:
-        reduced = projector(k @ effect_model_matrix(rest, layout.dims, scheme))
-    else:
-        reduced = Projector.zero(layout.n)
-    return full.minus(reduced)
+    if not rest:
+        return full
+    return full.minus(projector(k @ effect_model_matrix(rest, layout.dims, scheme)))
 
 
 class AnovaPlan:

@@ -28,6 +28,7 @@ from .exactlin import (
     RatMatrix,
     Subspace,
     column_vector,
+    is_projector,
     projector,
     solve_linear,
 )
@@ -242,7 +243,7 @@ def verify_prop1(seed: int = DEFAULT_SEED, trials: int = 500) -> list[Check]:
     for trial in range(trials):
         x, g = random_prop1_instance(rng)
         p_h = rmfm_projector(x, g)
-        if not (p_h.matrix.is_symmetric and p_h.matrix @ p_h.matrix == p_h.matrix):
+        if not is_projector(p_h.matrix):
             first.setdefault("shape", f"trial {trial}: projector not idempotent")
         left = (x.transpose() @ p_h.matrix).colspace
         right = estimable_part(x, g)

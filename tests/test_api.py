@@ -7,6 +7,7 @@ import ast
 import contextlib
 import importlib
 import importlib.util
+import inspect
 import io
 import re
 from pathlib import Path
@@ -55,7 +56,7 @@ def test_names_without_a_caller_stay_deleted():
         "hypotest": ("LinearModel", "HypothesisSpec", "ParamPoint", "ncp", "f_statistic",
                      "adjust_rhs", "rmfm_ss", "_cell_fit"),
         "effects": ("contrast_matrix", "model_matrix"),
-        "cli": ("serialize_dataset",),
+        "cli": ("serialize_dataset", "RunConfig"),
         "exactlin": ("weighted_fit",),
         "dominance": ("auxiliary_projector",),
         "fdist": ("FParams", "_betainc_reg"),
@@ -69,7 +70,9 @@ def test_names_without_a_caller_stay_deleted():
     assert not hasattr(exactlin.RatMatrix, "diagonal")
     assert not hasattr(exactlin.RatMatrix, "__neg__")
     assert not hasattr(exactlin.RatMatrix, "_rref")
-    assert not hasattr(exactlin.Projector, "identity")
+    for name in ("identity", "zero", "complement", "ambient"):
+        assert not hasattr(exactlin.Projector, name)
+    assert list(inspect.signature(exactlin.Projector).parameters) == ["matrix"]
     assert not hasattr(exanova.DominanceReport, "all_hold")
 
 

@@ -7,6 +7,7 @@ import io
 import json
 from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,11 +16,13 @@ from exanova.exactlin import Subspace
 from exanova.cli import (
     Dataset,
     InputError,
+    _prop3_dims,
     main,
     parse_dataset,
 )
 
 F = Fraction
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 BALANCED_CSV = """A,B,y
 1,1,1
@@ -265,6 +268,21 @@ class TestAnovaCommand:
         assert (code, out) == (2, "")
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_long_fields_keep_a_space_between_columns(self):
+        argv = ["anova", "--data", str(GOLDEN / "n0.csv"), "--effect", "A", "--type", "all"]
+        _, table = run_cli(argv)
+        _, doc = run_cli([*argv, "--output", "json"])
+        rows = {line.split()[0]: line.split() for line in table.splitlines()[7:10]}
+        fstrs = []
+        for entry in json.loads(doc)["tests"]:
+            ss, f = entry["ss"], entry["f"]
+            fstrs.append(f"{f['num']}/{f['den']}")
+            assert rows[str(entry["type"])] == [
+                str(entry["type"]), f"{ss['num']}/{ss['den']}", str(entry["df"]), fstrs[-1],
+                f"{entry['p']:.6g}", str(entry["estimable_dim"]),
+            ]
+        assert max(map(len, fstrs)) >= 18
+
     def test_all_types_share_one_plan(self, tmp_path, monkeypatch):
         calls = {"projector": 0, "_int_vector": 0}
 
@@ -385,6 +403,33 @@ class TestVerifyCommand:
         assert span.passed and span.detail == ""
         assert not removal.passed and removal.detail.startswith("removal mismatch at subset {")
         assert not scheme.passed and scheme.detail.startswith("scheme dependence at subset {")
+
+    @pytest.mark.parametrize("target", ["prop3", "all"])
+    def test_dims_past_four_factors_refused_before_any_suite(self, target, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("a suite ran")
+        for name in ("verify_table1", "verify_prop1", "verify_prop2", "verify_prop3", "verify_fdist"):
+            monkeypatch.setattr(verify, name, never)
+        code, out = run_cli(["verify", target, "--dims", "2,2,2,2,2"])
+        assert (code, out) == (2, "")
+        assert "4294967295" in capsys.readouterr().err
+
+    def test_four_factor_dims_accepted(self):
+        args = argparse.Namespace(dims="2,2,2,2", factors=None)
+        assert _prop3_dims(args) == ((2, 2, 2, 2),)
+
+    @pytest.mark.parametrize("flags, kwargs", [
+        ([], {}),
+        (["--trials", "4"], {"trials": 4}),
+        (["--seed", "3", "--trials", "4"], {"seed": 3, "trials": 4}),
+    ])
+    def test_seed_and_trials_passed_only_when_given(self, flags, kwargs, monkeypatch):
+        seen = []
+        monkeypatch.setattr(verify, "verify_prop1", lambda **kw: seen.append(kw) or [])
+        monkeypatch.setattr(verify, "verify_prop2", lambda **kw: seen.append(kw) or [])
+        run_cli(["verify", "prop1", *flags])
+        run_cli(["verify", "prop2", *flags])
+        assert seen == [kwargs, kwargs]
 
     def test_dims_factor_mismatch(self):
         code, _ = run_cli(["verify", "prop3", "--factors", "2", "--dims", "2,3,2"])

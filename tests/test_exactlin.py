@@ -13,6 +13,7 @@ from exanova.exactlin import (
     Subspace,
     column_vector,
     is_nnd,
+    is_projector,
     projector,
     solve_linear,
     weighted_basis,
@@ -296,13 +297,14 @@ class TestProjector:
             assert p.matrix @ m == m
 
     def test_zero_matrix_gives_zero_projector(self):
-        assert projector(RatMatrix.zeros(3, 2)) == Projector.zero(3)
+        assert projector(RatMatrix.zeros(3, 2)) == Projector(RatMatrix.zeros(3, 3))
 
-    def test_validating_constructor_rejects_junk(self):
-        with pytest.raises(ValueError):
-            Projector(RatMatrix.from_rows([[1, 2], [2, 1]]))
-        with pytest.raises(ValueError):
-            Projector(RatMatrix.from_rows([[1, 1], [0, 1]]))
+    def test_is_projector_rejects_junk(self):
+        assert not is_projector(RatMatrix.from_rows([[1, 2], [2, 1]]))  # not idempotent
+        assert not is_projector(RatMatrix.from_rows([[1, 1], [0, 1]]))  # not symmetric
+        assert not is_projector(RatMatrix.ones(2, 3))  # not square
+        for m in (RatMatrix.zeros(3, 2), RatMatrix.identity(4), ONES3, C3):
+            assert is_projector(projector(m).matrix)
 
     def test_nested_difference(self):
         p = projector(RatMatrix.identity(3))
