@@ -26,7 +26,6 @@ from .effects import (
     u_matrix,
 )
 from .exactlin import (
-    Projector,
     RatMatrix,
     Subspace,
     column_vector,
@@ -52,7 +51,6 @@ __version__ = "0.1.0"
 __all__ = [
     "RatMatrix",
     "Subspace",
-    "Projector",
     "projector",
     "is_projector",
     "is_nnd",

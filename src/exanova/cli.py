@@ -405,7 +405,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _prop3_dims(args: argparse.Namespace) -> tuple[tuple[int, ...], ...]:
-    if args.dims:
+    if args.dims is not None:
         try:
             dims = tuple(int(d) for d in args.dims.split(","))
         except ValueError:

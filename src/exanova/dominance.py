@@ -49,29 +49,29 @@ def check_dominance(x: RatMatrix, h: RatMatrix, l: RatMatrix) -> DominanceReport
     n = x.nrows
     if h.nrows != n or l.nrows != n:
         raise ValueError("X, H, L must have the same number of rows")
-    p_x = projector(x)
-    if p_x.matrix @ h != h:
+    p_x = projector(x).matrix
+    if p_x @ h != h:
         raise ValueError("precondition failed: sp(H) is not contained in sp(X)")
     xt = x.transpose()
     if (xt @ l).colspace != (xt @ h).colspace:
         raise ValueError("precondition failed: sp(X'L) differs from sp(X'H)")
 
-    p_h = projector(h)
-    p_l = projector(l)
+    p_h = projector(h).matrix
+    p_l = projector(l).matrix
 
-    pxl = (p_x.matrix @ l).colspace
+    pxl = (p_x @ l).colspace
     span_recovered = pxl == h.colspace
     # sp(H) and sp(X)-perp are orthogonal, so the projector onto their sum
     # is the plain sum of projectors; containment iff it fixes L
-    enlarged = p_h.matrix + (RatMatrix.identity(n) - p_x.matrix)
+    enlarged = p_h + (RatMatrix.identity(n) - p_x)
     containment = enlarged @ l == l
-    nnd_holds = is_nnd(xt @ p_h.matrix @ x - xt @ p_l.matrix @ x)
-    aux_idempotent = is_projector(enlarged - p_l.matrix)
+    nnd_holds = is_nnd(xt @ p_h @ x - xt @ p_l @ x)
+    aux_idempotent = is_projector(enlarged - p_l)
 
-    nu_h = p_h.nu
+    nu_h = int(p_h.trace())
     nu_pxl = pxl.dim
-    nu_l = p_l.nu
-    slack = n - p_x.nu
+    nu_l = int(p_l.trace())
+    slack = n - int(p_x.trace())
     df_bounds_hold = nu_h == nu_pxl <= nu_l <= nu_h + slack
 
     return DominanceReport(

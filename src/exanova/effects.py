@@ -3,10 +3,11 @@
 Effects are named by binary tuples: bit k set means factor k enters the
 effect.  The two-factor effects are (0,0) grand mean, (1,0) A main
 effects, (0,1) B main effects, (1,1) AB interaction.  Each effect has an
-orthogonal projector on cell-mean space (a Kronecker product of
-averaging and centering blocks) and a contrast-coded model block whose
-columns span exactly that projector's range, so a model can drop an
-effect by dropping its columns.
+orthogonal projector on cell-mean space, a plain `RatMatrix` that is a
+Kronecker product of averaging and centering blocks (its df is
+`int(p.trace())`), and a contrast-coded model block whose columns span
+exactly that projector's range, so a model can drop an effect by
+dropping its columns.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .exactlin import Projector, RatMatrix
+from .exactlin import RatMatrix
 
 __all__ = [
     "EffectId",
@@ -83,22 +84,22 @@ def canonical_order(effects: Iterable[EffectId]) -> tuple[EffectId, ...]:
     return tuple(effs)
 
 
-def u_matrix(m: int) -> Projector:
-    """Averaging projector onto the span of the all-ones vector."""
+def u_matrix(m: int) -> RatMatrix:
+    """Averaging projector J/m onto the span of the all-ones vector."""
     if m < 1:
         raise ValueError("need at least one level")
-    return Projector(RatMatrix([[1] * m] * m, m))
+    return RatMatrix([[1] * m] * m, m)
 
 
-def s_matrix(m: int) -> Projector:
-    """Centering projector onto the contrast space (complement of ones)."""
+def s_matrix(m: int) -> RatMatrix:
+    """Centering projector I - J/m onto the contrast space (complement of ones)."""
     if m < 1:
         raise ValueError("need at least one level")
     num = [[m - 1 if i == j else -1 for j in range(m)] for i in range(m)]
-    return Projector(RatMatrix(num, m))
+    return RatMatrix(num, m)
 
 
-def h_projector(effect: EffectId, dims: Sequence[int]) -> Projector:
+def h_projector(effect: EffectId, dims: Sequence[int]) -> RatMatrix:
     """Effect projector on cell-mean space: Kronecker product of centering
     blocks for included factors and averaging blocks for the rest."""
     dims = tuple(dims)
@@ -106,10 +107,10 @@ def h_projector(effect: EffectId, dims: Sequence[int]) -> Projector:
         raise ValueError("dims length must match the effect's factor count")
     out: RatMatrix | None = None
     for bit, m in zip(effect.bits, dims):
-        block = (s_matrix(m) if bit else u_matrix(m)).matrix
+        block = s_matrix(m) if bit else u_matrix(m)
         out = block if out is None else out.kron(block)
     assert out is not None
-    return Projector(out)
+    return out
 
 
 def helmert_contrast(m: int) -> RatMatrix:

@@ -18,10 +18,11 @@ a forward to a method: `projector`, `weighted_basis`, `is_projector`,
 `m.rank()` is `m.colspace.dim`, and `solve_linear(a, b)` solves for
 every column of b in one reduction of `[a | b]`.
 
-A `Projector` is a record of a projection matrix and its rank, the
-trace.  It does not check what it is given: `projector(m)` builds one
-that is a projector by construction, and `is_projector` is the one
-exact check, which `verify` makes.
+A projector is a plain `RatMatrix`, and its rank is `int(p.trace())`.
+`projector(m)` returns a `Projector` record of one: its `matrix`, and
+`minus`, the nested difference P - Q with its nesting check.  Nothing
+checks what it is given; `is_projector` is the one exact check, which
+`verify` makes.
 
 The public constructor checks every entry; results built inside this
 module from rows that are already integer go through the trusted
@@ -140,12 +141,6 @@ class RatMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return Fraction(self._num[i][j], self._den)
-
-    def column(self, j: int) -> "RatMatrix":
-        return RatMatrix._of([(r[j],) for r in self._num], self._den)
-
     def int_rows(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """The normalized (integer rows, denominator) pair."""
         return self._num, self._den
@@ -196,11 +191,6 @@ class RatMatrix:
             for ra, rb in zip(self._num, other._num)
         ]
         return RatMatrix._of(num, d)
-
-    def scale(self, c: Fraction | int) -> "RatMatrix":
-        c = Fraction(c)
-        num = [tuple(c.numerator * v for v in r) for r in self._num]
-        return RatMatrix._of(num, self._den * c.denominator)
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.ncols != other.nrows:
@@ -419,36 +409,21 @@ class Subspace:
 
 
 class Projector:
-    """An orthogonal projection matrix and its rank `nu` (the trace).
+    """The record `projector(m)` returns: the projection matrix, and
+    `minus`, the difference of nested projectors as a plain matrix."""
 
-    A plain record that trusts its builder to pass a symmetric idempotent
-    matrix; `is_projector` is the check, and `verify` makes it.
-    """
-
-    __slots__ = ("matrix", "nu")
+    __slots__ = ("matrix",)
 
     def __init__(self, matrix: RatMatrix):
         self.matrix = matrix
-        self.nu = int(matrix.trace())
 
-    def minus(self, other: "Projector") -> "Projector":
-        """Difference of nested projectors; requires sp(other) inside sp(self)."""
+    def minus(self, other: "Projector") -> RatMatrix:
+        """P - Q for nested projectors; requires sp(Q) inside sp(P)."""
         if self.matrix.shape != other.matrix.shape:
             raise ValueError("ambient dimension mismatch")
         if self.matrix @ other.matrix != other.matrix:
             raise ValueError("projector difference requires nested ranges")
-        return Projector(self.matrix - other.matrix)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Projector):
-            return NotImplemented
-        return self.matrix == other.matrix
-
-    def __hash__(self) -> int:
-        return hash(self.matrix)
-
-    def __repr__(self) -> str:
-        return f"Projector(rank {self.nu} on R^{self.matrix.nrows})"
+        return self.matrix - other.matrix
 
 
 def weighted_basis(m: RatMatrix, weights: Sequence[int] | None = None) -> list[tuple[list[int], int] | None]:

@@ -35,7 +35,6 @@ from .effects import (
     incidence,
 )
 from .exactlin import (
-    Projector,
     RatMatrix,
     Subspace,
     projector,
@@ -116,7 +115,7 @@ def restriction_nullbasis(g: RatMatrix) -> RatMatrix:
     return g.colspace.complement().basis
 
 
-def rmfm_projector(x: RatMatrix, g: RatMatrix) -> Projector:
+def rmfm_projector(x: RatMatrix, g: RatMatrix) -> RatMatrix:
     """Projector of the restricted-minus-full extra SSE: P_X - P_XN."""
     _check_pair(x, g)
     restricted = projector(x @ restriction_nullbasis(g))
@@ -148,14 +147,14 @@ def estimable_part(x: RatMatrix, g: RatMatrix) -> Subspace:
     return x.transpose().colspace.intersect(g.colspace)
 
 
-def testing_target(m: RatMatrix, k: RatMatrix, p: Projector) -> Subspace:
+def testing_target(m: RatMatrix, k: RatMatrix, p: RatMatrix) -> Subspace:
     """What a numerator SS tests about the cell means, in the model
     whose cell-mean matrix is m: the span of P_m K' P."""
-    if k.nrows != p.matrix.nrows:
+    if k.nrows != p.nrows:
         raise ValueError("incidence rows must match the projector's space")
     if k.ncols != m.nrows:
         raise ValueError("incidence columns must match the cell-mean model rows")
-    return (projector(m).matrix @ k.transpose() @ p.matrix).colspace
+    return (projector(m).matrix @ k.transpose() @ p).colspace
 
 
 def type_model_set(t: int, effect: EffectId) -> frozenset[EffectId]:
@@ -178,7 +177,7 @@ def type_numerator(
     effect: EffectId,
     layout: CellLayout,
     scheme: ContrastScheme | None = None,
-) -> Projector:
+) -> RatMatrix:
     """Numerator projector of the type-t SS for `effect`: the projector
     difference from dropping the effect's columns out of its model."""
     model_set = type_model_set(t, effect)
@@ -188,7 +187,7 @@ def type_numerator(
     full = projector(k @ effect_model_matrix(model_set, layout.dims, scheme))
     rest = model_set - {effect}
     if not rest:
-        return full
+        return full.matrix
     return full.minus(projector(k @ effect_model_matrix(rest, layout.dims, scheme)))
 
 

@@ -216,7 +216,7 @@ def verify_table1() -> list[Check]:
         k,
         type_numerator(1, EffectId((1, 0)), layout),
     )
-    h10_span = h_projector(EffectId((1, 0)), (3, 3)).matrix.colspace
+    h10_span = h_projector(EffectId((1, 0)), (3, 3)).colspace
     checks.append(
         Check(
             "table1 n1 saturated-model target of the type-1 SS misses all A main effects",
@@ -243,20 +243,20 @@ def verify_prop1(seed: int = DEFAULT_SEED, trials: int = 500) -> list[Check]:
     for trial in range(trials):
         x, g = random_prop1_instance(rng)
         p_h = rmfm_projector(x, g)
-        if not is_projector(p_h.matrix):
+        if not is_projector(p_h):
             first.setdefault("shape", f"trial {trial}: projector not idempotent")
-        left = (x.transpose() @ p_h.matrix).colspace
+        left = (x.transpose() @ p_h).colspace
         right = estimable_part(x, g)
         if left != right:
             first.setdefault("forward", f"trial {trial}: tested span mismatch")
         h = _independent_h(x, right)
-        if projector(h) != p_h:
+        if projector(h).matrix != p_h:
             first.setdefault("reverse", f"trial {trial}: independent H gives a different projector")
         y = [
             Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(x.nrows)
         ]
         restricted = x @ restriction_nullbasis(g)
-        lhs = quad_form(y, p_h.matrix)
+        lhs = quad_form(y, p_h)
         if lhs != sse(y, restricted) - sse(y, x) or lhs < 0:
             first.setdefault("ss", f"trial {trial}: extra-SSE routes disagree")
     return _checks([
@@ -318,7 +318,7 @@ def _prop3_checks(dims: tuple[int, ...]) -> list[Check]:
         ambient *= d
     effs = all_effects(f)
     blocks = {e: c_block(e, dims) for e in effs}
-    h_mats = {e: h_projector(e, dims).matrix for e in effs}
+    h_mats = {e: h_projector(e, dims) for e in effs}
     comp_h = {e: h_mats[e].colspace.complement() for e in effs}
     alt = difference_scheme(dims)
     alt_blocks = {e: c_block(e, dims, alt) for e in effs}
@@ -416,14 +416,8 @@ def verify_fdist() -> list[Check]:
     nu1s = (1, 2, 3, 4, 5, 6)
     nu2s = (4, 8, 16, 32)
     ncps = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)
-    crit = {
-        (a, n1, n2): fdist.f_quantile(a, n1, n2)
-        for a in alphas
-        for n1 in nu1s
-        for n2 in nu2s
-    }
     pw = {
-        (a, n1, n2, d): 1.0 - fdist.f_cdf(crit[(a, n1, n2)], n1, n2, d)
+        (a, n1, n2, d): fdist.power(a, n1, n2, d)
         for a in alphas
         for n1 in nu1s
         for n2 in nu2s

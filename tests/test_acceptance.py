@@ -114,14 +114,14 @@ def test_criterion_6_balanced_closed_form():
         for a, b in itertools.product((2, 3), repeat=2):
             for m in (1, 2, 3):
                 layout = _balanced_layout(a, b, m)
-                um = u_matrix(m).matrix
+                um = u_matrix(m)
                 for effect in all_effects(2):
-                    want = h_projector(effect, (a, b)).matrix.kron(um)
+                    want = h_projector(effect, (a, b)).kron(um)
                     for t in (1, 2, 3):
                         if effect not in type_model_set(t, effect):
                             continue
                         got = type_numerator(t, effect, layout)
-                        assert got.matrix == want, (a, b, m, str(effect), t)
+                        assert got == want, (a, b, m, str(effect), t)
                 y = [F(rng.randint(-12, 12), rng.choice([1, 2, 3])) for _ in range(layout.n)]
                 res = type_ss(3, EffectId((1, 0)), layout, y)
                 assert res.ss_num == _balanced_a_ss_oracle(y, a, b, m)

@@ -5,6 +5,7 @@ module-level imports nothing uses."""
 
 import ast
 import contextlib
+import functools
 import importlib
 import importlib.util
 import inspect
@@ -13,7 +14,7 @@ import re
 from pathlib import Path
 
 import exanova
-from exanova import exactlin
+from exanova import effects, exactlin, hypotest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -70,16 +71,41 @@ def test_names_without_a_caller_stay_deleted():
     assert not hasattr(exactlin.RatMatrix, "diagonal")
     assert not hasattr(exactlin.RatMatrix, "__neg__")
     assert not hasattr(exactlin.RatMatrix, "_rref")
-    for name in ("identity", "zero", "complement", "ambient"):
+    for name in ("scale", "entry", "column"):
+        assert not hasattr(exactlin.RatMatrix, name)
+    for name in ("identity", "zero", "complement", "ambient", "nu"):
         assert not hasattr(exactlin.Projector, name)
+    for name in ("nu", "__eq__", "__hash__", "__repr__"):
+        assert name not in vars(exactlin.Projector)
     assert list(inspect.signature(exactlin.Projector).parameters) == ["matrix"]
+    assert not hasattr(exanova, "Projector")
     assert not hasattr(exanova.DominanceReport, "all_hold")
 
 
-def test_every_export_has_a_caller():
-    # a caller is a use in the package other than the name's definition,
-    # import or __all__ entry, or a use in README.md or exabench/*.py
-    used = set()
+def test_closed_form_and_oracle_projectors_are_plain_matrices():
+    a, dims = exanova.EffectId((1, 0)), (2, 3)
+    layout = exanova.CellLayout.from_grid([[1, 2, 1], [2, 1, 1]])
+    x = exactlin.RatMatrix.from_rows([[1, 1], [1, 0], [1, 2]])
+    p = hypotest.type_numerator(2, a, layout)
+    for got in (effects.u_matrix(3), effects.s_matrix(3), effects.h_projector(a, dims),
+                hypotest.rmfm_projector(x, exactlin.RatMatrix.from_rows([[0], [1]])), p):
+        assert type(got) is exactlin.RatMatrix
+    for fn in (effects.u_matrix, effects.s_matrix, effects.h_projector,
+               hypotest.rmfm_projector, hypotest.type_numerator):
+        assert inspect.signature(fn).return_annotation == "RatMatrix"
+    assert inspect.signature(hypotest.testing_target).parameters["p"].annotation == "RatMatrix"
+    m = effects.effect_model_matrix(hypotest.type_model_set(2, a), dims)
+    assert hypotest.testing_target(m, effects.incidence(layout), p).dim == 1
+
+
+def _exports_and_uses():
+    """Every (module, name) in an `__all__`; the words that count as a
+    use of such a name: a load of a name or attribute in the package
+    other than the name's definition, import or __all__ entry, or a word
+    in README.md or exabench/*.py; and the words that count as a use of
+    a method: an attribute load in the package or in exabench/*.py, a
+    string the benchmark's tracer names, or `.name` in README.md."""
+    used, attrs = set(), set()
     exports = [("exanova", name) for name in exanova.__all__]
     for path in sorted((ROOT / "src" / "exanova").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -87,15 +113,44 @@ def test_every_export_has_a_caller():
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                used.add(node.attr)
+                attrs.add(node.attr)
         for node in tree.body:
             if any(getattr(t, "id", None) == "__all__" for t in getattr(node, "targets", [])):
                 exports += [(path.stem, name) for name in ast.literal_eval(node.value)]
-    texts = [ROOT / "README.md", *sorted((ROOT / "exabench").glob("*.py"))]
-    used |= {w for path in texts for w in re.findall(r"\w+", path.read_text(encoding="utf-8"))}
+    bench = sorted((ROOT / "exabench").glob("*.py"))
+    for path in bench:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                attrs.add(node.value)
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    attrs |= set(re.findall(r"\.(\w+)", readme))
+    used |= attrs | set(re.findall(r"\w+", readme))
+    used |= {w for path in bench for w in re.findall(r"\w+", path.read_text(encoding="utf-8"))}
+    return exports, used, attrs
+
+
+def test_every_export_has_a_caller():
+    exports, used, _ = _exports_and_uses()
     uncalled = [f"{mod}.{name}" for mod, name in exports
                 if name not in used and not name.startswith("__")]
     assert uncalled == []
+
+
+def test_every_public_method_of_an_export_has_a_caller():
+    exports, _, attrs = _exports_and_uses()
+    kinds = (property, functools.cached_property, classmethod, staticmethod)
+    uncalled = set()
+    for mod, name in exports:
+        cls = getattr(importlib.import_module(mod if mod == "exanova" else f"exanova.{mod}"), name)
+        if not inspect.isclass(cls):
+            continue
+        for attr, member in vars(cls).items():
+            public = not attr.startswith("_")
+            if public and (inspect.isfunction(member) or isinstance(member, kinds)) and attr not in attrs:
+                uncalled.add(f"{cls.__name__}.{attr}")
+    assert sorted(uncalled) == []
 
 
 def test_readme_library_example_runs():

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from exanova import hypotest, verify
-from exanova.exactlin import Subspace
+from exanova.exactlin import Projector, RatMatrix, Subspace
 from exanova.cli import (
     Dataset,
     InputError,
@@ -366,7 +366,7 @@ class TestVerifyCommand:
 
         def projector(m):
             calls.append(m)
-            return original(m) if len(calls) == 1 else object()
+            return original(m) if len(calls) == 1 else Projector(RatMatrix.zeros(1, 1))
         monkeypatch.setattr(verify, "projector", projector)
         code, out = run_cli(["verify", "prop1", "--trials", "3"])
         assert code == 1
@@ -397,7 +397,7 @@ class TestVerifyCommand:
         # two-effect subsets
         original = verify.c_block
         monkeypatch.setattr(verify, "c_block", lambda e, dims, scheme=None: (
-            original(e, dims) if scheme is None else original(e, dims, scheme).scale(0)))
+            original(e, dims) if scheme is None else RatMatrix.zeros(*original(e, dims, scheme).shape)))
         monkeypatch.setattr(Subspace, "intersect", lambda self, other: Subspace.zero(self.ambient))
         span, removal, scheme = verify.verify_prop3(((2, 3),))
         assert span.passed and span.detail == ""
@@ -430,6 +430,12 @@ class TestVerifyCommand:
         run_cli(["verify", "prop1", *flags])
         run_cli(["verify", "prop2", *flags])
         assert seen == [kwargs, kwargs]
+
+    def test_empty_dims_refused(self, monkeypatch, capsys):
+        monkeypatch.setattr(verify, "verify_prop3", lambda **kw: pytest.fail("a suite ran"))
+        code, out = run_cli(["verify", "prop3", "--dims", ""])
+        assert (code, out) == (2, "")
+        assert "cannot parse --dims ''" in capsys.readouterr().err
 
     def test_dims_factor_mismatch(self):
         code, _ = run_cli(["verify", "prop3", "--factors", "2", "--dims", "2,3,2"])

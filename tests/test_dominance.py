@@ -48,7 +48,7 @@ def dominance_instance(rng, max_n=8):
 class TestCheckDominance:
     def test_identity_case(self):
         x = RatMatrix.from_rows([[1, 0], [0, 1], [1, 1]])
-        h = x.column(0)
+        h = RatMatrix.from_rows([[1], [0], [1]])
         rpt = check_dominance(x, h, h)
         assert all_hold(rpt)
         assert rpt.nu_l == rpt.nu_h == 1
@@ -70,8 +70,8 @@ class TestCheckDominance:
 
     def test_precondition_span_violation_raises(self):
         x = RatMatrix.from_rows([[1, 0], [0, 1], [0, 0]])
-        h = x.column(0)
-        l = x.column(1)
+        h = RatMatrix.from_rows([[1], [0], [0]])
+        l = RatMatrix.from_rows([[0], [1], [0]])
         with pytest.raises(ValueError, match="X'L"):
             check_dominance(x, h, l)
 

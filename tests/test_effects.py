@@ -42,18 +42,18 @@ def difference_scheme(dims):
 
 class TestAveragingCentering:
     def test_u2(self):
-        assert u_matrix(2).matrix == RatMatrix([[1, 1], [1, 1]], 2)
+        assert u_matrix(2) == RatMatrix([[1, 1], [1, 1]], 2)
 
     def test_s2(self):
-        assert s_matrix(2).matrix == RatMatrix([[1, -1], [-1, 1]], 2)
+        assert s_matrix(2) == RatMatrix([[1, -1], [-1, 1]], 2)
 
     def test_trace_s5(self):
-        assert s_matrix(5).matrix.trace() == 4
+        assert s_matrix(5).trace() == 4
 
     def test_sum_to_identity(self):
         for m in (1, 2, 5):
-            assert u_matrix(m).matrix + s_matrix(m).matrix == RatMatrix.identity(m)
-            assert (u_matrix(m).matrix @ s_matrix(m).matrix).is_zero
+            assert u_matrix(m) + s_matrix(m) == RatMatrix.identity(m)
+            assert (u_matrix(m) @ s_matrix(m)).is_zero
 
     def test_zero_levels_rejected(self):
         with pytest.raises(ValueError):
@@ -86,18 +86,18 @@ class TestEffectIds:
 class TestHProjectors:
     def test_grand_mean_block(self):
         h = h_projector(EffectId.parse("00"), (3, 3))
-        assert h.matrix == RatMatrix([[1] * 9] * 9, 9)
+        assert h == RatMatrix([[1] * 9] * 9, 9)
 
     def test_partition_of_identity(self):
         total = RatMatrix.zeros(9, 9)
         for e in all_effects(2):
-            total = total + h_projector(e, (3, 3)).matrix
+            total = total + h_projector(e, (3, 3))
         assert total == RatMatrix.identity(9)
 
     def test_pairwise_orthogonal(self):
         h10 = h_projector(EffectId.parse("10"), (3, 3))
         h01 = h_projector(EffectId.parse("01"), (3, 3))
-        assert (h10.matrix @ h01.matrix).is_zero
+        assert (h10 @ h01).is_zero
 
     @pytest.mark.parametrize(
         "dims",
@@ -106,15 +106,15 @@ class TestHProjectors:
     def test_partition_and_orthogonality_generic(self, dims):
         effs = all_effects(len(dims))
         mats = [h_projector(e, dims) for e in effs]
-        total = mats[0].matrix
+        total = mats[0]
         for p in mats[1:]:
-            total = total + p.matrix
+            total = total + p
         n = 1
         for d in dims:
             n *= d
         assert total == RatMatrix.identity(n)
         for p, q in itertools.combinations(mats, 2):
-            assert (p.matrix @ q.matrix).is_zero
+            assert (p @ q).is_zero
 
 
 class TestContrasts:
@@ -125,7 +125,7 @@ class TestContrasts:
         assert helmert_contrast(2) == RatMatrix.from_rows([[1], [-1]])
 
     def test_projector_is_centering(self):
-        assert projector(helmert_contrast(4)) == s_matrix(4)
+        assert projector(helmert_contrast(4)).matrix == s_matrix(4)
 
     def test_minimum_levels(self):
         with pytest.raises(ValueError):
@@ -148,24 +148,23 @@ class TestCBlocks:
         want = helmert_contrast(3).kron(RatMatrix.ones(3))
         assert c10 == want
         assert c10.shape == (9, 2)
-        for i in range(3):
-            for j in range(3):
-                assert c10.entry(3 * i + j, 0) == helmert_contrast(3).entry(i, 0)
+        rows, den = helmert_contrast(3).int_rows()
+        assert c10.int_rows() == (tuple(r for r in rows for _ in range(3)), den)
 
     def test_grand_mean_block_is_ones(self):
         assert c_block(EffectId.parse("00"), (3, 3)) == RatMatrix.ones(9)
 
     def test_interaction_projector(self):
         p = projector(c_block(EffectId.parse("11"), (3, 3)))
-        assert p.matrix == s_matrix(3).matrix.kron(s_matrix(3).matrix)
+        assert p.matrix == s_matrix(3).kron(s_matrix(3))
 
     @pytest.mark.parametrize("dims", [(2, 3), (3, 3), (2, 2, 3)])
     def test_block_projector_matches_h_both_schemes(self, dims):
         user = difference_scheme(dims)
         for e in all_effects(len(dims)):
             h = h_projector(e, dims)
-            assert projector(c_block(e, dims)) == h
-            assert projector(c_block(e, dims, user)) == h
+            assert projector(c_block(e, dims)).matrix == h
+            assert projector(c_block(e, dims, user)).matrix == h
 
 
 class TestEffectModelMatrix:
@@ -177,9 +176,9 @@ class TestEffectModelMatrix:
         effs = [EffectId.parse(s) for s in ("00", "10", "01")]
         m = effect_model_matrix(effs, (3, 3))
         hsum = (
-            h_projector(EffectId.parse("00"), (3, 3)).matrix
-            + h_projector(EffectId.parse("10"), (3, 3)).matrix
-            + h_projector(EffectId.parse("01"), (3, 3)).matrix
+            h_projector(EffectId.parse("00"), (3, 3))
+            + h_projector(EffectId.parse("10"), (3, 3))
+            + h_projector(EffectId.parse("01"), (3, 3))
         )
         assert m.colspace == hsum.colspace
 
@@ -205,7 +204,7 @@ class TestEffectModelMatrix:
                 m = effect_model_matrix(subset, dims)
                 hsum = RatMatrix.zeros(n, n)
                 for e in subset:
-                    hsum = hsum + h_projector(e, dims).matrix
+                    hsum = hsum + h_projector(e, dims)
                 span = m.colspace
                 assert span == hsum.colspace
                 for star in subset:
@@ -215,7 +214,7 @@ class TestEffectModelMatrix:
                         if rest
                         else Subspace.zero(n)
                     )
-                    target = span.intersect(h_projector(star, dims).matrix.colspace.complement())
+                    target = span.intersect(h_projector(star, dims).colspace.complement())
                     assert reduced == target
 
 
@@ -241,7 +240,7 @@ class TestLayoutsAndIncidence:
 
     def test_incidence_empty_cell_column_is_zero(self):
         k = incidence(N2)
-        assert k.column(0).is_zero
+        assert all(row[0] == 0 for row in k.int_rows()[0])
 
     def test_balanced_incidence_is_kron(self):
         layout = CellLayout.from_grid([[2, 2], [2, 2]])
@@ -262,7 +261,7 @@ class TestLayoutsAndIncidence:
         effs = [EffectId.parse(s) for s in ("00", "10")]
         p = projector(incidence(layout) @ effect_model_matrix(effs, layout.dims))
         hsum = (
-            h_projector(EffectId.parse("00"), (2, 2)).matrix
-            + h_projector(EffectId.parse("10"), (2, 2)).matrix
+            h_projector(EffectId.parse("00"), (2, 2))
+            + h_projector(EffectId.parse("10"), (2, 2))
         )
-        assert p.matrix == hsum.kron(u_matrix(3).matrix)
+        assert p.matrix == hsum.kron(u_matrix(3))

@@ -25,9 +25,19 @@ C3 = RatMatrix.from_rows([[2, 0], [-1, 1], [-1, -1]])
 ONES3 = RatMatrix.ones(3)
 
 
+def fraction_rows(m: RatMatrix) -> list[list[Fraction]]:
+    """The entries of m as Fractions, row by row."""
+    num, den = m.int_rows()
+    return [[F(v, den) for v in r] for r in num]
+
+
+def fraction_columns(m: RatMatrix) -> list[list[Fraction]]:
+    return [list(c) for c in zip(*fraction_rows(m))]
+
+
 def slow_canonical_colspace(m: RatMatrix) -> list[list[Fraction]]:
     """Independent oracle: reduced column echelon by Fraction Gauss-Jordan."""
-    cols = [[m.entry(i, j) for i in range(m.nrows)] for j in range(m.ncols)]
+    cols = fraction_columns(m)
     basis: list[list[Fraction]] = []
     for v in cols:
         v = list(v)
@@ -52,7 +62,7 @@ def slow_canonical_colspace(m: RatMatrix) -> list[list[Fraction]]:
 def slow_kernel_basis(m: RatMatrix) -> list[list[Fraction]]:
     """Independent oracle: a kernel basis by Fraction Gauss-Jordan, one
     vector per free column."""
-    a = [[m.entry(i, j) for j in range(m.ncols)] for i in range(m.nrows)]
+    a = fraction_rows(m)
     pivots: list[int] = []
     for c in range(m.ncols):
         r = len(pivots)
@@ -134,8 +144,8 @@ def random_matrix(rng, nrows, ncols, lo=-4, hi=4, max_rank=None):
 class TestRatMatrix:
     def test_entries_are_exact_fractions(self):
         m = RatMatrix.from_rows([["0.5", 2], [F(1, 3), -1]])
-        assert m.entry(0, 0) == F(1, 2)
-        assert m.entry(1, 0) == F(1, 3)
+        assert m == RatMatrix([[3, 12], [2, -6]], 6)
+        assert fraction_rows(m) == [[F(1, 2), 2], [F(1, 3), -1]]
 
     def test_normalization_gives_structural_equality(self):
         a = RatMatrix([[2, 4], [6, 8]], 4)
@@ -220,9 +230,7 @@ class TestColspace:
             got = m.colspace
             want = slow_canonical_colspace(m)
             assert got.dim == len(want)
-            assert [
-                [got.basis.entry(i, j) for i in range(nr)] for j in range(got.dim)
-            ] == want
+            assert fraction_columns(got.basis) == want
 
     @settings(derandomize=True, max_examples=80, deadline=None)
     @given(m=int_matrices())
@@ -237,25 +245,19 @@ class TestColspace:
         spanning = RatMatrix.from_rows([list(r) for r in zip(*vecs)])
         # one reduction gives the basis the two-reduction route gives
         assert got == spanning.colspace
-        assert [
-            [got.basis.entry(i, j) for i in range(m.ncols)] for j in range(got.dim)
-        ] == slow_canonical_colspace(spanning)
+        assert fraction_columns(got.basis) == slow_canonical_colspace(spanning)
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(m=wide_int_matrices())
     def test_wide_entries_match_fraction_oracles(self, m):
         col = m.colspace
-        assert [
-            [col.basis.entry(i, j) for i in range(m.nrows)] for j in range(col.dim)
-        ] == slow_canonical_colspace(m)
+        assert fraction_columns(col.basis) == slow_canonical_colspace(m)
         ker = m.nullspace
         vecs = slow_kernel_basis(m)
         assert ker.dim == len(vecs)
         if vecs:
             spanning = RatMatrix.from_rows([list(r) for r in zip(*vecs)])
-            assert [
-                [ker.basis.entry(i, j) for i in range(m.ncols)] for j in range(ker.dim)
-            ] == slow_canonical_colspace(spanning)
+            assert fraction_columns(ker.basis) == slow_canonical_colspace(spanning)
         # both bases are built as already reduced; the public constructor,
         # which reduces by the gcd, must give the same matrix
         for s in (col, ker):
@@ -290,14 +292,14 @@ class TestProjector:
         for _ in range(60):
             m = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 6),
                               max_rank=rng.choice([None, 1, 2]))
-            p = projector(m)
-            assert p.matrix.is_symmetric
-            assert p.matrix @ p.matrix == p.matrix
-            assert p.nu == m.rank()
-            assert p.matrix @ m == m
+            p = projector(m).matrix
+            assert p.is_symmetric
+            assert p @ p == p
+            assert p.trace() == m.rank()
+            assert p @ m == m
 
     def test_zero_matrix_gives_zero_projector(self):
-        assert projector(RatMatrix.zeros(3, 2)) == Projector(RatMatrix.zeros(3, 3))
+        assert projector(RatMatrix.zeros(3, 2)).matrix == RatMatrix.zeros(3, 3)
 
     def test_is_projector_rejects_junk(self):
         assert not is_projector(RatMatrix.from_rows([[1, 2], [2, 1]]))  # not idempotent
@@ -310,9 +312,11 @@ class TestProjector:
         p = projector(RatMatrix.identity(3))
         q = projector(ONES3)
         d = p.minus(q)
-        assert d.nu == 2
+        assert d == RatMatrix.identity(3) - RatMatrix([[1] * 3] * 3, 3)
         with pytest.raises(ValueError):
-            q.minus(d)
+            q.minus(Projector(d))
+        with pytest.raises(ValueError):
+            p.minus(projector(RatMatrix.identity(2)))
 
 
 def weighted_sum(entries, n: int) -> RatMatrix:
@@ -390,10 +394,10 @@ class TestSubspaceCalculus:
         assert s.complement().complement() == s
 
     def test_intersect_examples(self):
-        e = RatMatrix.identity(3)
-        s12 = RatMatrix.hstack(e.column(0), e.column(1)).colspace
-        s23 = RatMatrix.hstack(e.column(1), e.column(2)).colspace
-        assert s12.intersect(s23) == e.column(1).colspace
+        e1, e2, e3 = (column_vector([int(i == j) for i in range(3)]) for j in range(3))
+        s12 = RatMatrix.hstack(e1, e2).colspace
+        s23 = RatMatrix.hstack(e2, e3).colspace
+        assert s12.intersect(s23) == e2.colspace
         assert s12.intersect(s12) == s12
         with pytest.raises(ValueError):
             Subspace.zero(2).intersect(Subspace.zero(3))
@@ -409,7 +413,7 @@ class TestSubspaceCalculus:
             if s1.dim == 0 or s2.dim == 0:
                 assert got.dim == 0
                 continue
-            stacked = RatMatrix.hstack(s1.basis, s2.basis.scale(-1))
+            stacked = RatMatrix.hstack(s1.basis, RatMatrix.zeros(n, s2.dim) - s2.basis)
             ker = stacked.nullspace
             if ker.dim == 0:
                 direct = Subspace.zero(n)
@@ -420,10 +424,8 @@ class TestSubspaceCalculus:
             assert got == direct
 
     def test_sum_and_nullspace_examples(self):
-        e = RatMatrix.identity(3)
-        assert e.column(0).colspace.sum(e.column(1).colspace) == RatMatrix.hstack(
-            e.column(0), e.column(1)
-        ).colspace
+        e1, e2 = column_vector([1, 0, 0]), column_vector([0, 1, 0])
+        assert e1.colspace.sum(e2.colspace) == RatMatrix.hstack(e1, e2).colspace
         assert ONES3.transpose().nullspace == C3.colspace
         s3 = RatMatrix.identity(3) - RatMatrix([[1] * 3] * 3, 3)
         assert s3.rank() == 2
@@ -434,7 +436,7 @@ class TestIsNnd:
         assert is_nnd(projector(RatMatrix.ones(2)).matrix)
 
     def test_negative_identity_is_not(self):
-        assert not is_nnd(RatMatrix.identity(2).scale(-1))
+        assert not is_nnd(RatMatrix([[-1, 0], [0, -1]]))
 
     def test_indefinite_two_by_two(self):
         # det = 1*1 - 2*2 = -3 < 0, so one eigenvalue is negative
@@ -485,9 +487,10 @@ class TestSolveLinear:
         rng = random.Random(8)
         for _ in range(30):
             a = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 6))
-            b = a @ random_matrix(rng, a.ncols, rng.randint(0, 4))
+            cols = [a @ random_matrix(rng, a.ncols, 1) for _ in range(rng.randint(0, 4))]
+            b = RatMatrix.hstack(RatMatrix.zeros(a.nrows, 0), *cols)
             x = solve_linear(a, b)
             assert x is not None and x.shape == (a.ncols, b.ncols)
             assert a @ x == b
-            for j in range(b.ncols):
-                assert solve_linear(a, b.column(j)) == x.column(j)
+            one_at_a_time = (solve_linear(a, c) for c in cols)
+            assert RatMatrix.hstack(RatMatrix.zeros(a.ncols, 0), *one_at_a_time) == x

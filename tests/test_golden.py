@@ -1,11 +1,15 @@
-"""Byte-identity of `exanova anova` output against recorded golden files.
+"""Byte-identity of `exanova anova` and `exanova verify` output against
+recorded golden files.
 
 The inputs live in tests/data/golden: the built-in n0, n1 and n2 layouts
 with fixed decimal responses (rows in replicate-major file order, not
 cell order), a one-observation-per-cell layout with an empty cell (no
-residual df), and a user contrast file.  The expected outputs under
+residual df), and a user contrast file.  The expected anova outputs under
 tests/data/golden/expected were recorded from the observation-space
 engine; any change in the bytes of a table or JSON report fails here.
+The `verify` suites (default seeds and trials) are recorded beside them,
+so that a refactor of the exact core cannot change a check's wording,
+count or outcome unnoticed.
 
 To re-record after an intended output change:
 
@@ -49,6 +53,9 @@ def _cases():
         for effect in EFFECT_BITS:
             add(data, "saturated", effect, contrasts="contrasts.json")
     add("n2", "custom:00,11", "AB")
+    for suite in ("table1", "prop1", "dominance", "fdist"):
+        out.append((f"verify-{suite}.txt", ["verify", suite]))
+    out.append(("verify-prop3-2-3-2.txt", ["verify", "prop3", "--dims", "2,3,2"]))
     return out
 
 

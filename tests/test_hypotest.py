@@ -17,7 +17,6 @@ from exanova.effects import (
     u_matrix,
 )
 from exanova.exactlin import (
-    Projector,
     RatMatrix,
     Subspace,
     column_vector,
@@ -51,6 +50,11 @@ def random_matrix(rng, nrows, ncols, max_rank=None):
     return RatMatrix.from_rows(a) @ RatMatrix.from_rows(b)
 
 
+def unit(n, j):
+    """The j-th coordinate vector of R^n, as a column."""
+    return column_vector([int(i == j) for i in range(n)])
+
+
 def random_model(rng, max_n=8, max_coef=5):
     while True:
         n = rng.randint(1, max_n)
@@ -71,15 +75,14 @@ class TestRestrictionNullbasis:
     def test_single_coordinate(self):
         e2 = column_vector([0, 1, 0])
         n = restriction_nullbasis(e2)
-        e = RatMatrix.identity(3)
-        assert n.colspace == RatMatrix.hstack(e.column(0), e.column(2)).colspace
+        assert n.colspace == RatMatrix.hstack(unit(3, 0), unit(3, 2)).colspace
 
 
 class TestRmfmProjector:
     def test_vacuous_restriction_gives_zero(self):
         rng = random.Random(12)
         x = random_model(rng)
-        assert rmfm_projector(x, RatMatrix.zeros(x.ncols, 1)) == Projector(RatMatrix.zeros(x.nrows, x.nrows))
+        assert rmfm_projector(x, RatMatrix.zeros(x.ncols, 1)) == RatMatrix.zeros(x.nrows, x.nrows)
 
     @pytest.mark.parametrize("x, g, message", [
         (RatMatrix.zeros(2, 0), RatMatrix.identity(1), "design matrix needs at least one column"),
@@ -99,9 +102,8 @@ class TestRmfmProjector:
         layout = builtin_layout("n0")
         k = incidence(layout)
         x = k @ effect_model_matrix(all_effects(2), layout.dims)
-        e = RatMatrix.identity(x.ncols)
         # canonical order is 00, 10, 01, 11 with widths 1, 2, 2, 4
-        selector = RatMatrix.hstack(e.column(1), e.column(2))
+        selector = RatMatrix.hstack(unit(x.ncols, 1), unit(x.ncols, 2))
         got = rmfm_projector(x, selector)
         want = type_numerator(3, A_EFFECT, layout)
         assert got == want
@@ -110,10 +112,9 @@ class TestRmfmProjector:
         layout = CellLayout.from_grid([[2, 2], [2, 2]])
         k = incidence(layout)
         x = k @ effect_model_matrix(all_effects(2), layout.dims)
-        e = RatMatrix.identity(4)
-        got = rmfm_projector(x, e.column(1))
-        want = h_projector(A_EFFECT, (2, 2)).matrix.kron(u_matrix(2).matrix)
-        assert got.matrix == want
+        got = rmfm_projector(x, unit(4, 1))
+        want = h_projector(A_EFFECT, (2, 2)).kron(u_matrix(2))
+        assert got == want
 
     def test_projector_is_symmetric_idempotent(self):
         rng = random.Random(5)
@@ -121,13 +122,13 @@ class TestRmfmProjector:
             x = random_model(rng)
             g = random_matrix(rng, x.ncols, rng.randint(1, 3))
             p = rmfm_projector(x, g)
-            assert p.matrix.is_symmetric
-            assert p.matrix @ p.matrix == p.matrix
+            assert p.is_symmetric
+            assert p @ p == p
 
 
 def rmfm_ss(y, x, g):
     """The extra SSE: the quadratic form of the numerator projector."""
-    return quad_form(y, rmfm_projector(x, g).matrix)
+    return quad_form(y, rmfm_projector(x, g))
 
 
 class TestRmfmSs:
@@ -141,8 +142,8 @@ class TestRmfmSs:
                 if n_basis.ncols else None
             if coeffs is None:
                 continue
-            y_col = x @ n_basis @ coeffs
-            y = [y_col.entry(i, 0) for i in range(x.nrows)]
+            rows, den = (x @ n_basis @ coeffs).int_rows()
+            y = [F(v, den) for (v,) in rows]
             assert rmfm_ss(y, x, g) == 0
 
     def test_zero_when_response_orthogonal_to_model(self):
@@ -185,11 +186,13 @@ class TestSseAndQuadForm:
             y = self.fractional_response(rng, n)
             yv = column_vector(y)
             p = projector(x).matrix
-            general = random_matrix(rng, n, n).scale(F(rng.randint(1, 5), rng.randint(1, 7)))
+            general = random_matrix(rng, n, n)
+            c = F(rng.randint(1, 5), rng.randint(1, 7))
+            general = general @ RatMatrix.from_rows([[c * (i == j) for j in range(n)] for i in range(n)])
             for mat in (p, general):
-                assert quad_form(y, mat) == (yv.transpose() @ mat @ yv).entry(0, 0)
+                assert RatMatrix.from_rows([[quad_form(y, mat)]]) == yv.transpose() @ mat @ yv
             resid = RatMatrix.identity(n) - p
-            assert sse(y, x) == (yv.transpose() @ resid @ yv).entry(0, 0)
+            assert RatMatrix.from_rows([[sse(y, x)]]) == yv.transpose() @ resid @ yv
 
     def test_zero_column_design_leaves_everything(self):
         y = [F(1, 2), 3, F(-5, 4)]
@@ -251,7 +254,7 @@ class TestTestingTarget:
         layout = builtin_layout("n0")
         k = incidence(layout)
         m = effect_model_matrix(all_effects(2), layout.dims)
-        assert target_of(m, k, Projector(RatMatrix.zeros(18, 18))) == Subspace.zero(9)
+        assert target_of(m, k, RatMatrix.zeros(18, 18)) == Subspace.zero(9)
 
     def test_proportional_counts_lose_main_effects_in_saturated_model(self):
         layout = builtin_layout("n1")
@@ -260,7 +263,7 @@ class TestTestingTarget:
         m_sat = effect_model_matrix(all_effects(2), layout.dims)
         p1 = type_numerator(1, A_EFFECT, layout)
         c10_span = helmert_contrast(3).kron(RatMatrix.ones(3)).colspace
-        h10_span = h_projector(A_EFFECT, (3, 3)).matrix.colspace
+        h10_span = h_projector(A_EFFECT, (3, 3)).colspace
         assert target_of(m_add, k, p1) == c10_span
         assert target_of(m_sat, k, p1).intersect(h10_span) == Subspace.zero(9)
 
@@ -343,8 +346,8 @@ class TestTypeSsCellSpace:
         effects = all_effects(2)
         y = [F(rng.randint(-9, 9), rng.choice((1, 2, 4))) for _ in range(layout.n)]
         k = incidence(layout)
-        q = Projector(RatMatrix.identity(layout.n) - projector(k).matrix)
-        ss_den = quad_form(y, q.matrix)
+        q = RatMatrix.identity(layout.n) - projector(k).matrix
+        ss_den, nu_den = quad_form(y, q), int(q.trace())
         for effect in effects:
             for t in (1, 2, 3):
                 if effect not in type_model_set(t, effect):
@@ -353,12 +356,12 @@ class TestTypeSsCellSpace:
                 report_set = report_set or frozenset(effects[:1])
                 res = type_ss(t, effect, layout, y, scheme, report_set=report_set)
                 p_num = type_numerator(t, effect, layout, scheme)
-                ss_num = quad_form(y, p_num.matrix)
+                ss_num, nu_num = quad_form(y, p_num), int(p_num.trace())
                 f_value = None
-                if p_num.nu > 0 and q.nu > 0 and ss_den > 0:
-                    f_value = (ss_num / p_num.nu) / (ss_den / q.nu)
+                if nu_num > 0 and nu_den > 0 and ss_den > 0:
+                    f_value = (ss_num / nu_num) / (ss_den / nu_den)
                 assert (res.ss_num, res.nu_num, res.ss_den, res.nu_den, res.f_value) == (
-                    ss_num, p_num.nu, ss_den, q.nu, f_value
+                    ss_num, nu_num, ss_den, nu_den, f_value
                 )
                 m = effect_model_matrix(report_set, layout.dims, scheme)
                 assert res.estimable_part == target_of(m, k, p_num)
