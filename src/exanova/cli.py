@@ -410,8 +410,8 @@ def _prop3_dims(args: argparse.Namespace) -> tuple[tuple[int, ...], ...]:
             dims = tuple(int(d) for d in args.dims.split(","))
         except ValueError:
             raise InputError(f"cannot parse --dims {args.dims!r}; want e.g. 2,3,2") from None
-        if any(d < 1 for d in dims):
-            raise InputError("--dims entries must be positive")
+        if any(d < 2 for d in dims):
+            raise InputError(f"--dims entries must be at least 2 (a factor needs two levels), got {args.dims}")
         if len(dims) > MAX_PROP3_FACTORS:
             raise InputError(
                 f"--dims has {len(dims)} factors, at most {MAX_PROP3_FACTORS} allowed: prop3 checks "

@@ -11,10 +11,11 @@ storage while remaining exact.
 
 Each operation of the subspace calculus has one spelling, on the value
 it acts on: `m.colspace` and `m.nullspace` (cached properties),
-`m.rank()`, `m.trace()`, `s.complement()`, `s.intersect(t)` and
-`s.sum(t)`.  The module functions are the operations that are more than
-a forward to a method: `projector`, `weighted_basis`, `is_projector`,
-`is_nnd`, `solve_linear`, `primitive_columns` and `column_vector`.
+`m.rank()`, `m.trace()`, `s.complement()` and `s.intersect(t)`; the sum
+of two subspaces is `RatMatrix.hstack(s.basis, t.basis).colspace`.  The
+module functions are the operations that are more than a forward to a
+method: `projector`, `weighted_basis`, `is_projector`, `is_nnd`,
+`solve_linear`, `primitive_columns` and `column_vector`.
 `m.rank()` is `m.colspace.dim`, and `solve_linear(a, b)` solves for
 every column of b in one reduction of `[a | b]`.
 
@@ -31,9 +32,10 @@ from `_rref_int`, a fraction-free Gauss-Jordan pass on primitive rows,
 whose canonical output needs no further gcd reduction.  A kernel costs
 one echelon reduction, of the matrix with its columns reversed, whose
 free-variable basis is already canonical.  Each Subspace computes its
-orthogonal complement at most once, so `intersect`, which is the
-complement of the sum of the complements, reuses the complements of
-operands it has seen.
+orthogonal complement at most once.  `s.intersect(t)` restricts s to t:
+one kernel, of t's memoized complement against s's basis, whose
+canonical basis maps through s's basis to a canonical basis with no
+echelon pass on the result.
 """
 
 from __future__ import annotations
@@ -396,16 +398,41 @@ class Subspace:
                 self._comp = self.basis.transpose().nullspace
         return self._comp
 
-    def sum(self, other: "Subspace") -> "Subspace":
-        if self.ambient != other.ambient:
-            raise ValueError("ambient dimension mismatch")
-        return RatMatrix.hstack(self.basis, other.basis).colspace
-
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection, computed as the complement of the sum of complements."""
+        """Intersection, as the restriction of self to other: with B the
+        canonical basis of self and W a basis of other's (memoized)
+        complement, self ∩ other = B ker(W'B).
+
+        The kernel is one small reduction, dim other^⊥ x dim self.  Its
+        canonical basis K makes B K canonical with no further pass: column
+        i of B is zero above its pivot row p_i, and row p_i of B is e_i, so
+        column j of B K leads with 1 at p_l for K's lead l of column j, and
+        every other column is 0 there.  So B K copies K's row i at row
+        p_i; only the other rows take dot products.
+        """
         if self.ambient != other.ambient:
             raise ValueError("ambient dimension mismatch")
-        return self.complement().sum(other.complement()).complement()
+        w_num = other.complement().basis._num
+        s = self.dim
+        if s == 0 or not w_num[0]:
+            return self
+        b_num, b_den = self.basis._num, self.basis._den
+        b_cols = list(zip(*b_num))
+        wb = [[sum(map(mul, wc, bc)) for bc in b_cols] for wc in zip(*w_num)]
+        ker = RatMatrix._of(wb, normalized=True).nullspace
+        if ker.dim == 0:
+            return Subspace.zero(self.ambient)
+        k_num, k_den = ker.basis._num, ker.basis._den
+        k_cols = list(zip(*k_num))
+        rows: list[tuple[int, ...]] = []
+        i = 0
+        for row in b_num:
+            if i < s and row[i]:
+                rows.append(tuple([b_den * v for v in k_num[i]]))
+                i += 1
+            else:
+                rows.append(tuple([sum(map(mul, row, kc)) for kc in k_cols]))
+        return Subspace(self.ambient, RatMatrix._of(rows, b_den * k_den))
 
 
 class Projector:

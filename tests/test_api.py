@@ -71,6 +71,7 @@ def test_names_without_a_caller_stay_deleted():
     assert not hasattr(exactlin.RatMatrix, "diagonal")
     assert not hasattr(exactlin.RatMatrix, "__neg__")
     assert not hasattr(exactlin.RatMatrix, "_rref")
+    assert not hasattr(exactlin.Subspace, "sum")
     for name in ("scale", "entry", "column"):
         assert not hasattr(exactlin.RatMatrix, name)
     for name in ("identity", "zero", "complement", "ambient", "nu"):

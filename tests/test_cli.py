@@ -414,6 +414,17 @@ class TestVerifyCommand:
         assert (code, out) == (2, "")
         assert "4294967295" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target", ["prop3", "all"])
+    @pytest.mark.parametrize("dims", ["3,1", "1,2", "0"])
+    def test_dims_below_two_refused_before_any_suite(self, target, dims, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("a suite ran")
+        for name in ("verify_table1", "verify_prop1", "verify_prop2", "verify_prop3", "verify_fdist"):
+            monkeypatch.setattr(verify, name, never)
+        code, out = run_cli(["verify", target, "--dims", dims])
+        assert (code, out) == (2, "")
+        assert f"--dims entries must be at least 2 (a factor needs two levels), got {dims}" in capsys.readouterr().err
+
     def test_four_factor_dims_accepted(self):
         args = argparse.Namespace(dims="2,2,2,2", factors=None)
         assert _prop3_dims(args) == ((2, 2, 2, 2),)

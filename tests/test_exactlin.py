@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exanova import exactlin
 from exanova.exactlin import (
     Projector,
     RatMatrix,
@@ -128,6 +129,32 @@ def wide_int_matrices(draw):
     elif lead == "negative" and rows[0][0] > 0:
         rows[0] = [-v for v in rows[0]]
     return RatMatrix(rows)
+
+
+@st.composite
+def subspace_pairs(draw):
+    """Two subspaces of one R^n, n up to 6, spanned by at most n - 1
+    rational columns over a denominator above 1.  The second is random,
+    zero, full, spans the first plus more, or shares one vector with it;
+    the pair is drawn in either order."""
+    n = draw(st.integers(2, 6))
+
+    def columns():
+        return RatMatrix(draw(int_rows(n, draw(st.integers(1, n - 1)))), draw(st.integers(2, 9)))
+
+    s = columns().colspace
+    kind = draw(st.sampled_from(("random", "zero", "full", "nested", "shared")))
+    if kind == "zero":
+        t = Subspace.zero(n)
+    elif kind == "full":
+        t = Subspace.full(n)
+    elif kind == "nested":
+        t = RatMatrix.hstack(s.basis, columns()).colspace
+    elif kind == "shared" and s.dim:
+        t = RatMatrix.hstack(s.basis @ RatMatrix(draw(int_rows(s.dim, 1))), columns()).colspace
+    else:
+        t = columns().colspace
+    return (t, s) if draw(st.booleans()) else (s, t)
 
 
 def random_matrix(rng, nrows, ncols, lo=-4, hi=4, max_rank=None):
@@ -423,9 +450,26 @@ class TestSubspaceCalculus:
                 direct = (s1.basis @ coeff).colspace
             assert got == direct
 
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(pair=subspace_pairs())
+    def test_intersect_matches_complement_of_summed_complements(self, pair):
+        s, t = pair
+        got = s.intersect(t)
+        old = RatMatrix.hstack(s.complement().basis, t.complement().basis).colspace.complement()
+        assert got == old
+        assert got.basis.colspace.basis == got.basis
+
+    def test_intersect_makes_one_reduction(self, monkeypatch):
+        s = RatMatrix.from_rows([[1, 0], [F(1, 2), 1], [0, 3], [2, 0]]).colspace
+        t = RatMatrix.from_rows([[1, 0], [F(3, 2), 0], [3, 0], [2, F(1, 3)]]).colspace
+        s.complement(), t.complement()
+        calls = []
+        rref = exactlin._rref_int
+        monkeypatch.setattr(exactlin, "_rref_int", lambda m: calls.append(1) or rref(m))
+        assert s.intersect(t).dim == 1
+        assert len(calls) == 1
+
     def test_sum_and_nullspace_examples(self):
-        e1, e2 = column_vector([1, 0, 0]), column_vector([0, 1, 0])
-        assert e1.colspace.sum(e2.colspace) == RatMatrix.hstack(e1, e2).colspace
         assert ONES3.transpose().nullspace == C3.colspace
         s3 = RatMatrix.identity(3) - RatMatrix([[1] * 3] * 3, 3)
         assert s3.rank() == 2

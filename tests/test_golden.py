@@ -53,7 +53,7 @@ def _cases():
         for effect in EFFECT_BITS:
             add(data, "saturated", effect, contrasts="contrasts.json")
     add("n2", "custom:00,11", "AB")
-    for suite in ("table1", "prop1", "dominance", "fdist"):
+    for suite in ("table1", "prop1", "dominance", "prop3", "fdist"):
         out.append((f"verify-{suite}.txt", ["verify", suite]))
     out.append(("verify-prop3-2-3-2.txt", ["verify", "prop3", "--dims", "2,3,2"]))
     return out
