@@ -334,7 +334,7 @@ VERIFY_TARGETS = ("table1", "prop1", "prop2", "dominance", "prop3", "fdist", "al
 
 
 def _adhoc_dominance(path: str) -> list["verify_mod.Check"]:
-    """Run the four dominance conclusions on user-supplied X, H, L matrices
+    """Check the five dominance facts on user-supplied X, H, L matrices
     from a JSON file {"X": rows, "H": rows, "L": rows}."""
     from .dominance import check_dominance
 
@@ -353,15 +353,11 @@ def _adhoc_dominance(path: str) -> list["verify_mod.Check"]:
         rpt = check_dominance(x, h, l)
     except (ValueError, TypeError) as exc:
         raise InputError(str(exc)) from None
+    sandwich = f"nu_H={rpt.nu_h}, nu_PXL={rpt.nu_pxl}, nu_L={rpt.nu_l}, slack={rpt.df_slack}"
     return [
-        verify_mod.Check("dominance: projected competitor recovers sp(H)", rpt.span_recovered),
-        verify_mod.Check("dominance: competitor inside sp(H) + residual space", rpt.containment),
-        verify_mod.Check("dominance: noncentrality difference nonnegative definite", rpt.nnd_holds),
-        verify_mod.Check(
-            "dominance: df sandwich",
-            rpt.df_bounds_hold,
-            f"nu_H={rpt.nu_h}, nu_PXL={rpt.nu_pxl}, nu_L={rpt.nu_l}, slack={rpt.df_slack}",
-        ),
+        verify_mod.Check(f"dominance: {wording}", getattr(rpt, field),
+                         sandwich if field == "df_bounds_hold" else "")
+        for field, wording, _ in verify_mod.DOMINANCE_FACTS
     ]
 
 

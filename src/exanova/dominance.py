@@ -1,13 +1,14 @@
 """Checks that no competing numerator beats the restricted-minus-full one.
 
 Given a design X, a matrix H with sp(H) inside sp(X), and any L whose
-quadratic form tests the same thing (sp(X'L) = sp(X'H)), four facts
+quadratic form tests the same thing (sp(X'L) = sp(X'H)), five facts
 hold: projecting L back into the model recovers sp(H); L lives inside
 sp(H) plus the residual space; the noncentrality-governing matrix
-X'P_H X - X'P_L X is nonnegative definite; and the degrees of freedom
-satisfy nu_H = nu_{P_X L} <= nu_L <= nu_H + n - nu_X.  A fifth fact
-goes with them: P_H + (I - P_X) - P_L is symmetric and idempotent.  All
-are decided exactly over the rationals.
+X'P_H X - X'P_L X is nonnegative definite; the degrees of freedom
+satisfy nu_H = nu_{P_X L} <= nu_L <= nu_H + n - nu_X; and
+P_H + (I - P_X) - P_L is symmetric and idempotent.  All are decided
+exactly over the rationals.  `verify.DOMINANCE_FACTS` words one check
+per fact, for both the randomized suite and `verify dominance --matrices`.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ __all__ = ["DominanceReport", "check_dominance"]
 
 @dataclass(frozen=True)
 class DominanceReport:
-    """Outcome of the four competing-numerator conclusions, plus
-    `aux_idempotent`: P_H + (I - P_X) - P_L is symmetric and idempotent.
+    """The five competing-numerator facts as bools, with the df values
+    behind the sandwich.  `aux_idempotent`: P_H + (I - P_X) - P_L is
+    symmetric and idempotent.
 
     When the preconditions hold the bools are all True; a False field means
     a bug, not a property of the inputs (violated preconditions raise
@@ -41,7 +43,7 @@ class DominanceReport:
 
 
 def check_dominance(x: RatMatrix, h: RatMatrix, l: RatMatrix) -> DominanceReport:
-    """Evaluate the four conclusions for a competing numerator matrix L.
+    """Evaluate the five facts for a competing numerator matrix L.
 
     Preconditions, checked first and raised on failure:
     sp(H) inside sp(X), and sp(X'L) = sp(X'H).

@@ -8,6 +8,7 @@ failure is a genuine defect, never a tolerance artifact.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,6 +56,7 @@ __all__ = [
     "random_prop1_instance",
     "random_prop2_instance",
     "difference_scheme",
+    "DOMINANCE_FACTS",
     "DEFAULT_SEED",
     "PROP3_DEFAULT_DIMS",
 ]
@@ -179,6 +181,7 @@ def verify_table1() -> list[Check]:
     a_effect = EffectId((1, 0))
     c10_span = helmert_contrast(3).kron(RatMatrix.ones(3)).colspace
     second_diff = RatMatrix.from_rows([[0], [1], [-1]]).kron(RatMatrix.ones(3)).colspace
+    targets: dict[tuple[str, int, int], Subspace] = {}
     for lname in LAYOUT_NAMES:
         layout = builtin_layout(lname)
         k = incidence(layout)
@@ -187,42 +190,22 @@ def verify_table1() -> list[Check]:
             m: effect_model_matrix(type_model_set(m, a_effect), layout.dims)
             for m in (1, 2, 3)
         }
+        for t, m in TARGET_PAIRS + ((1, 1), (2, 2), (3, 3)):
+            targets[lname, t, m] = testing_target(models[m], k, nums[t])
         for t, m in TARGET_PAIRS:
-            got = testing_target(models[m], k, nums[t])
-            want = target_span(lname, t, m)
-            checks.append(
-                Check(
-                    f"table1 {lname} target({t},{m}) matches stored span",
-                    got == want,
-                    f"dim {got.dim}",
-                )
-            )
+            got = targets[lname, t, m]
+            checks.append(Check(f"table1 {lname} target({t},{m}) matches stored span",
+                                got == target_span(lname, t, m), f"dim {got.dim}"))
         for t in (1, 2, 3):
-            gtt = testing_target(models[t], k, nums[t])
             if lname == "n2" and t == 3:
                 want, label = second_diff, "span((0,1,-1) x ones)"
             else:
                 want, label = c10_span, "span(C10)"
-            checks.append(
-                Check(
-                    f"table1 {lname} own-model target({t},{t}) equals {label}",
-                    gtt == want,
-                )
-            )
-    layout = builtin_layout("n1")
-    k = incidence(layout)
-    g13 = testing_target(
-        effect_model_matrix(all_effects(2), layout.dims),
-        k,
-        type_numerator(1, EffectId((1, 0)), layout),
-    )
-    h10_span = h_projector(EffectId((1, 0)), (3, 3)).colspace
-    checks.append(
-        Check(
-            "table1 n1 saturated-model target of the type-1 SS misses all A main effects",
-            g13.intersect(h10_span).dim == 0,
-        )
-    )
+            checks.append(Check(f"table1 {lname} own-model target({t},{t}) equals {label}",
+                                targets[lname, t, t] == want))
+    h10_span = h_projector(a_effect, (3, 3)).colspace
+    checks.append(Check("table1 n1 saturated-model target of the type-1 SS misses all A main effects",
+                        targets["n1", 1, 3].intersect(h10_span).dim == 0))
     return checks
 
 
@@ -269,31 +252,31 @@ def verify_prop1(seed: int = DEFAULT_SEED, trials: int = 500) -> list[Check]:
 
 # -- suite: no competing numerator is better -------------------------------
 
+# (DominanceReport field, check wording, first-failure wording) for each of
+# the report's five facts; `verify dominance --matrices` reads it too
+DOMINANCE_FACTS: tuple[tuple[str, str, str], ...] = (
+    ("span_recovered", "projected competitor recovers sp(H)", "span not recovered"),
+    ("containment", "competitor contained in sp(H) + residual space", "containment fails"),
+    ("nnd_holds", "noncentrality difference is nonnegative definite", "ncp difference not nnd"),
+    ("df_bounds_hold", "df sandwich nu_H <= nu_L <= nu_H + n - nu_X", "df sandwich fails"),
+    ("aux_idempotent", "auxiliary projector symmetric idempotent", "auxiliary matrix not idempotent"),
+)
+
 
 def verify_prop2(seed: int = DEFAULT_SEED, trials: int = 200) -> list[Check]:
-    """Randomized dominance suite over constructed (X, H, L) triples."""
+    """Randomized dominance suite over constructed (X, H, L) triples: one
+    check per fact in DOMINANCE_FACTS, over every trial."""
     rng = random.Random(seed)
     first: dict[str, str] = {}
     for trial in range(trials):
-        x, h, l = random_prop2_instance(rng)
-        rpt = check_dominance(x, h, l)
-        if not rpt.span_recovered:
-            first.setdefault("span", f"trial {trial}: span not recovered")
-        if not rpt.containment:
-            first.setdefault("contain", f"trial {trial}: containment fails")
-        if not rpt.nnd_holds:
-            first.setdefault("nnd", f"trial {trial}: ncp difference not nnd")
-        if not rpt.df_bounds_hold:
-            first.setdefault("df", f"trial {trial}: df sandwich fails")
-        if not rpt.aux_idempotent:
-            first.setdefault("aux", f"trial {trial}: auxiliary matrix not idempotent")
-    return _checks([
-        ("span", f"prop2 projected competitor recovers sp(H) ({trials} trials)"),
-        ("contain", f"prop2 competitor contained in sp(H) + residual space ({trials} trials)"),
-        ("nnd", f"prop2 noncentrality difference is nonnegative definite ({trials} trials)"),
-        ("df", f"prop2 df sandwich nu_H <= nu_L <= nu_H + n - nu_X ({trials} trials)"),
-        ("aux", f"prop2 auxiliary projector symmetric idempotent ({trials} trials)"),
-    ], first)
+        rpt = check_dominance(*random_prop2_instance(rng))
+        for field, _, failure in DOMINANCE_FACTS:
+            if not getattr(rpt, field):
+                first.setdefault(field, f"trial {trial}: {failure}")
+    return _checks(
+        [(field, f"prop2 {wording} ({trials} trials)") for field, wording, _ in DOMINANCE_FACTS],
+        first,
+    )
 
 
 # -- suite: effect columns may simply be dropped ---------------------------
@@ -310,52 +293,42 @@ def verify_prop3(
 
 
 def _prop3_checks(dims: tuple[int, ...]) -> list[Check]:
-    """The three prop3 checks for one layout.  Its caches are local, so
-    they are freed before the next layout is built."""
-    f = len(dims)
-    ambient = 1
-    for d in dims:
-        ambient *= d
-    effs = all_effects(f)
+    """The three prop3 checks for one layout, as one walk over the effect
+    subsets by size.  Each size's table maps a subset (a combination tuple)
+    to its block span, its second-family span and its summed h_projector,
+    each built from the subset's prefix in the table one size down; the
+    removal check reads its expected span from that table too.  Only two
+    tables are alive at a time, and both are freed before the next layout
+    is built."""
+    ambient = math.prod(dims)
+    effs = all_effects(len(dims))
     blocks = {e: c_block(e, dims) for e in effs}
     h_mats = {e: h_projector(e, dims) for e in effs}
     comp_h = {e: h_mats[e].colspace.complement() for e in effs}
     alt = difference_scheme(dims)
     alt_blocks = {e: c_block(e, dims, alt) for e in effs}
     first: dict[str, str] = {}
-    span_cache: dict[frozenset[EffectId], Subspace] = {}
-    # h_sum of each subset, as the h_sum of its prefix plus one term;
-    # only the previous subset size is kept
-    h_prev: dict[tuple[EffectId, ...], RatMatrix] = {(): RatMatrix.zeros(ambient, ambient)}
-
-    def span_of(subset: frozenset[EffectId]) -> Subspace:
-        if not subset:
-            return Subspace.zero(ambient)
-        if subset not in span_cache:
-            span_cache[subset] = RatMatrix.hstack(
-                *(blocks[e] for e in effs if e in subset)
-            ).colspace
-        return span_cache[subset]
-
+    zero = Subspace.zero(ambient)
+    prev = {(): (zero, zero, RatMatrix.zeros(ambient, ambient))}
     for r in range(1, len(effs) + 1):
-        h_cur: dict[tuple[EffectId, ...], RatMatrix] = {}
+        cur: dict[tuple[EffectId, ...], tuple[Subspace, Subspace, RatMatrix]] = {}
         for combo in itertools.combinations(effs, r):
-            subset = frozenset(combo)
-            s_c = span_of(subset)
-            h_sum = h_cur[combo] = h_prev[combo[:-1]] + h_mats[combo[-1]]
-            if s_c != h_sum.colspace:
-                first.setdefault("span", f"span mismatch at subset {{{','.join(map(str, combo))}}}")
-            alt_c = RatMatrix.hstack(*(alt_blocks[e] for e in effs if e in subset))
-            if alt_c.colspace != s_c:
-                first.setdefault("scheme", f"scheme dependence at subset {{{','.join(map(str, combo))}}}")
+            span, alt_span, h_sum = prev[combo[:-1]]
+            last = combo[-1]
+            span = RatMatrix.hstack(span.basis, blocks[last]).colspace
+            alt_span = RatMatrix.hstack(alt_span.basis, alt_blocks[last]).colspace
+            h_sum = h_sum + h_mats[last]
+            cur[combo] = span, alt_span, h_sum
+            where = f"subset {{{','.join(map(str, combo))}}}"
+            if span != h_sum.colspace:
+                first.setdefault("span", f"span mismatch at {where}")
+            if alt_span != span:
+                first.setdefault("scheme", f"scheme dependence at {where}")
             for star in combo:
-                got = s_c.intersect(comp_h[star])
-                want = span_of(subset - {star})
-                if got != want:
-                    first.setdefault(
-                        "removal", f"removal mismatch at subset {{{','.join(map(str, combo))}}} minus {star}"
-                    )
-        h_prev = h_cur
+                want = prev[tuple(e for e in combo if e != star)][0]
+                if span.intersect(comp_h[star]) != want:
+                    first.setdefault("removal", f"removal mismatch at {where} minus {star}")
+        prev = cur
     label = "x".join(map(str, dims))
     nsubsets = 2 ** len(effs) - 1
     return _checks([
@@ -371,9 +344,9 @@ def _prop3_checks(dims: tuple[int, ...]) -> list[Check]:
 def verify_fdist() -> list[Check]:
     """Deterministic battery for the F distribution code: exact symmetry
     and reduction facts, the Markov bound on the cdf at twice the mean up
-    to noncentrality 4000, quantile round trips, and the power-monotonicity
-    grid (increasing in noncentrality and denominator df, decreasing in
-    numerator df)."""
+    to noncentrality 4000, quantile round trips, and power monotonicity
+    over one (alpha, nu1, nu2, ncp) grid, walked once per axis: increasing
+    in noncentrality and denominator df, decreasing in numerator df."""
     checks: list[Check] = []
 
     sym_ok = all(abs(fdist.f_cdf(1.0, nu, nu) - 0.5) <= 1e-12 for nu in (1, 2, 5, 10, 40))
@@ -412,43 +385,26 @@ def verify_fdist() -> list[Check]:
     )
     checks.append(Check("fdist power at zero noncentrality equals the level", size_ok))
 
-    alphas = (0.01, 0.05, 0.1, 0.25)
-    nu1s = (1, 2, 3, 4, 5, 6)
-    nu2s = (4, 8, 16, 32)
-    ncps = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)
-    pw = {
-        (a, n1, n2, d): fdist.power(a, n1, n2, d)
-        for a in alphas
-        for n1 in nu1s
-        for n2 in nu2s
-        for d in ncps
-    }
+    # (alpha, nu1, nu2, ncp) grid
+    grid = ((0.01, 0.05, 0.1, 0.25), (1, 2, 3, 4, 5, 6), (4, 8, 16, 32),
+            (0.0, 0.5, 1.0, 2.0, 4.0, 8.0))
+    pw = {point: fdist.power(*point) for point in itertools.product(*grid)}
     slack = 1e-10
-    mono_ncp = mono_nu2 = mono_nu1 = True
-    for a in alphas:
-        for n1 in nu1s:
-            for n2 in nu2s:
-                for lo, hi in zip(ncps, ncps[1:]):
-                    diff = pw[(a, n1, n2, hi)] - pw[(a, n1, n2, lo)]
-                    if diff < -slack or (lo > 0 and diff <= slack):
-                        mono_ncp = False
-    for a in alphas:
-        for n1 in nu1s:
-            for d in ncps:
-                for lo, hi in zip(nu2s, nu2s[1:]):
-                    diff = pw[(a, n1, hi, d)] - pw[(a, n1, lo, d)]
-                    ok = diff > slack if d > 0 else diff >= -slack
-                    if not ok:
-                        mono_nu2 = False
-    for a in alphas:
-        for n2 in nu2s:
-            for d in ncps:
-                for lo, hi in zip(nu1s, nu1s[1:]):
-                    diff = pw[(a, hi, n2, d)] - pw[(a, lo, n2, d)]
-                    ok = diff < -slack if d > 0 else diff <= slack
-                    if not ok:
-                        mono_nu1 = False
-    checks.append(Check("fdist power nondecreasing in noncentrality (strict when positive)", mono_ncp))
-    checks.append(Check("fdist power increasing in denominator df at positive noncentrality", mono_nu2))
-    checks.append(Check("fdist power decreasing in numerator df at positive noncentrality", mono_nu1))
+
+    def monotone(axis: int, sign: int) -> bool:
+        """Power moves by `sign` between neighbours along one axis: by more
+        than `slack` where the lower point's ncp is positive, by no less
+        than -slack where it is zero."""
+        step = dict(zip(grid[axis], grid[axis][1:]))
+        for lo in pw:
+            if lo[axis] in step:
+                hi = lo[:axis] + (step[lo[axis]],) + lo[axis + 1:]
+                diff = sign * (pw[hi] - pw[lo])
+                if not (diff > slack if lo[3] > 0 else diff >= -slack):
+                    return False
+        return True
+
+    checks.append(Check("fdist power nondecreasing in noncentrality (strict when positive)", monotone(3, 1)))
+    checks.append(Check("fdist power increasing in denominator df at positive noncentrality", monotone(2, 1)))
+    checks.append(Check("fdist power decreasing in numerator df at positive noncentrality", monotone(1, -1)))
     return checks

@@ -5,6 +5,7 @@ module-level imports nothing uses."""
 
 import ast
 import contextlib
+import dataclasses
 import functools
 import importlib
 import importlib.util
@@ -14,7 +15,7 @@ import re
 from pathlib import Path
 
 import exanova
-from exanova import effects, exactlin, hypotest
+from exanova import dominance, effects, exactlin, hypotest, verify
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -97,6 +98,12 @@ def test_closed_form_and_oracle_projectors_are_plain_matrices():
     assert inspect.signature(hypotest.testing_target).parameters["p"].annotation == "RatMatrix"
     m = effects.effect_model_matrix(hypotest.type_model_set(2, a), dims)
     assert hypotest.testing_target(m, effects.incidence(layout), p).dim == 1
+
+
+def test_dominance_facts_cover_every_report_bool():
+    # a fact added to the report cannot be left out of `verify` unseen
+    bools = [f.name for f in dataclasses.fields(dominance.DominanceReport) if f.type == "bool"]
+    assert sorted(field for field, _, _ in verify.DOMINANCE_FACTS) == sorted(bools)
 
 
 def _exports_and_uses():

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from exanova import hypotest, verify
+from exanova import dominance, hypotest, verify
 from exanova.exactlin import Projector, RatMatrix, Subspace
 from exanova.cli import (
     Dataset,
@@ -404,6 +404,19 @@ class TestVerifyCommand:
         assert not removal.passed and removal.detail.startswith("removal mismatch at subset {")
         assert not scheme.passed and scheme.detail.startswith("scheme dependence at subset {")
 
+    @pytest.mark.parametrize("broken", ["noncentrality", "denominator", "numerator"])
+    def test_power_monotonicity_checks_fail_along_their_own_axis(self, broken, monkeypatch):
+        # a power that is monotone on the whole grid, except along one axis
+        def fake_power(alpha, nu1, nu2, ncp):
+            ncp = 3.0 if broken == "noncentrality" and ncp == 8.0 else ncp
+            nu2 = 8 if broken == "denominator" and nu2 == 32 else nu2
+            nu1 = 1 if broken == "numerator" and nu1 == 6 else nu1
+            g = ncp * nu2 / (nu1 * (nu2 + 1))
+            return alpha + (1 - alpha) * g / (1 + g)
+        monkeypatch.setattr(verify.fdist, "power", fake_power)
+        mono = {c.name.split(" ")[4]: c.passed for c in verify.verify_fdist()[-3:]}
+        assert mono == {axis: axis != broken for axis in ("noncentrality", "denominator", "numerator")}
+
     @pytest.mark.parametrize("target", ["prop3", "all"])
     def test_dims_past_four_factors_refused_before_any_suite(self, target, monkeypatch, capsys):
         def never(*args, **kwargs):
@@ -461,7 +474,18 @@ class TestVerifyCommand:
         }))
         code, out = run_cli(["verify", "dominance", "--matrices", str(mats)])
         assert code == 0
-        assert "4/4 checks passed" in out
+        assert "5/5 checks passed" in out
+
+    def test_adhoc_dominance_reports_every_fact(self, monkeypatch):
+        # a failed fifth fact (the auxiliary projector) must show and fail
+        # the run, as it does in the randomized suite
+        original = dominance.check_dominance
+        monkeypatch.setattr(dominance, "check_dominance", lambda x, h, l: dataclasses.replace(
+            original(x, h, l), aux_idempotent=False))
+        code, out = run_cli(["verify", "dominance", "--matrices", str(GOLDEN / "xhl.json")])
+        assert code == 1
+        assert "FAIL  dominance: auxiliary projector symmetric idempotent\n" in out
+        assert "4/5 checks passed" in out
 
     @pytest.mark.parametrize("content", ["5", "[1, 2]", '"XHL"'])
     def test_matrices_file_must_hold_object(self, tmp_path, content, capsys):

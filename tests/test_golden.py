@@ -56,6 +56,7 @@ def _cases():
     for suite in ("table1", "prop1", "dominance", "prop3", "fdist"):
         out.append((f"verify-{suite}.txt", ["verify", suite]))
     out.append(("verify-prop3-2-3-2.txt", ["verify", "prop3", "--dims", "2,3,2"]))
+    out.append(("verify-dominance-matrices.txt", ["verify", "dominance", "--matrices", "xhl.json"]))
     return out
 
 
